@@ -5,7 +5,7 @@ GO ?= go
 #   make bench-serve BENCH_OUT=BENCH_3.json
 BENCH_OUT ?= bench.json
 
-.PHONY: all tier1 verify bench perf bench-serve bench-spec bench-pack bench-cores bench-load fmt clean
+.PHONY: all tier1 verify bench perf bench-serve bench-pack bench-load fmt clean
 
 all: verify
 
@@ -14,14 +14,16 @@ tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 
-# Full verify path: tier-1 plus static checks and the race detector over
-# the concurrent packages (the solver, the batched decode pool, and the
-# serving daemon).
+# Full verify path: tier-1 plus static checks, the race detector over the
+# concurrent packages (the solver, the batched decode pool, and the serving
+# daemon), and the benchmark module under perfbench/, which is its own Go
+# module and so is not built by tier-1's ./... patterns.
 verify: tier1
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	GOMAXPROCS=4 $(GO) test -race ./internal/core/... ./internal/smt/... ./internal/nn/... ./internal/server/... ./internal/router/... ./internal/prefixcache/... ./internal/pack/...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Kernel microbenchmarks (vs seed-copy references) plus the perf figure,
 # which writes the machine-readable report.
@@ -39,27 +41,11 @@ perf:
 bench-serve:
 	$(GO) run ./cmd/lejit-bench -scale tiny -fig serve -json $(BENCH_OUT)
 
-# Speculative-decoding sweep (BENCH_6.json in the committed tree): lookahead
-# 0 sweeps k in {0,2,4,8,16}; setting SPEC_LOOKAHEAD=k compares {0,k} only.
-SPEC_LOOKAHEAD ?= 0
-bench-spec:
-	$(GO) run ./cmd/lejit-bench -scale tiny -fig spec -json $(BENCH_OUT) -lookahead $(SPEC_LOOKAHEAD)
-
 # Domain-pack benchmark (BENCH_7.json in the committed tree): one lejitd
 # serving the telemetry, routercfg, and fincompliance packs under a mixed
 # workload with a fincompliance rule hot-reload fired halfway through.
 bench-pack:
 	$(GO) run ./cmd/lejit-bench -scale tiny -fig pack -json $(BENCH_OUT)
-
-# Multi-core kernel sweep (BENCH_8.json in the committed tree): GOMAXPROCS ×
-# batch over the sharded GEMM path plus the int8-vs-float32 comparison. The
-# lejit-bench invocation itself fails if either bit-exactness boolean is
-# false; the nproc guard below only refuses to *claim a speedup* from a
-# single-CPU host, where the sweep can measure determinism but not scaling.
-bench-cores:
-	@if [ "$$(nproc)" -le 1 ]; then \
-		echo "bench-cores: single-CPU host — report will carry null speedups and a warning"; fi
-	$(GO) run ./cmd/lejit-bench -scale tiny -fig cores -json $(BENCH_OUT)
 
 # Open-loop load sweep (BENCH_9.json in the committed tree): Poisson
 # arrivals against lejitd fleets of 1, 2, and 4 engine shards at 4 offered

@@ -31,7 +31,7 @@ func main() {
 
 func run() error {
 	scale := flag.String("scale", "default", "default|tiny")
-	figs := flag.String("fig", "all", "comma-separated: 3l,3r,4l,4r,5,abl,perf,serve,spec,pack,cores,load (all = every figure except serve, spec, pack, cores, and load)")
+	figs := flag.String("fig", "all", "comma-separated: 3l,3r,4l,4r,5,abl,perf,serve,pack,load (all = every figure except serve, pack, and load)")
 	testN := flag.Int("testn", 0, "override test-record count")
 	sampleN := flag.Int("samplen", 0, "override synthesis sample count")
 	racks := flag.Int("racks", 0, "override total rack count")
@@ -41,9 +41,6 @@ func run() error {
 	seed := flag.Int64("seed", 0, "override seed")
 	workers := flag.Int("workers", 0, "decode workers for batched methods (0 = GOMAXPROCS)")
 	jsonOut := flag.String("json", "", "write the perf report to this file (e.g. BENCH_1.json)")
-	kernelWorkers := flag.Int("kernel-workers", 0, "GEMM worker-group size for figure decodes (0 = leave serial, <0 = GOMAXPROCS)")
-	quantize := flag.String("quantize", "", "weight quantization for figure decodes: exact|snap ('' = off)")
-	lookahead := flag.Int("lookahead", 0, "speculative window for -fig spec: 0 sweeps {0,2,4,8,16}, k>0 compares {0,k}")
 	loadConns := flag.Int("load-conns", 0, "in-flight connection cap for -fig load (0 = default 10000)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -124,20 +121,6 @@ func run() error {
 	fmt.Printf("# mined rules: %d (imputation) / %d (synthesis); model: %d params\n\n",
 		env.ImputeRules.Len(), env.SynthRules.Len(), env.Model.NumParams())
 
-	// Kernel knobs apply to the shared figure model. The cores benchmark is
-	// unaffected: it gob-clones the model and manages its own worker group.
-	if *kernelWorkers != 0 {
-		eff := env.Model.SetKernelWorkers(*kernelWorkers)
-		fmt.Printf("# kernel workers: %d\n", eff)
-	}
-	if *quantize != "" {
-		st, err := env.Model.Quantize(*quantize)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("# weight quantization: %s (row coverage %.2f)\n", st.Mode, st.Coverage)
-	}
-
 	if all || want["3l"] || want["3r"] || want["4l"] || want["4r"] {
 		rs, err := experiments.RunImputation(env)
 		if err != nil {
@@ -176,7 +159,7 @@ func run() error {
 		}
 		fmt.Println(experiments.AblationTable("Ablation: decoding strategy (sampling vs greedy vs beam)", db).Render())
 	}
-	if all || want["perf"] || (*jsonOut != "" && !want["serve"] && !want["spec"] && !want["pack"] && !want["cores"] && !want["load"]) {
+	if all || want["perf"] || (*jsonOut != "" && !want["serve"] && !want["pack"] && !want["load"]) {
 		rep, err := experiments.RunPerf(env, nil)
 		if err != nil {
 			return err
@@ -190,29 +173,6 @@ func run() error {
 				return err
 			}
 			fmt.Printf("# perf report written to %s\n", *jsonOut)
-		}
-	}
-	// The speculative-decoding sweep re-decodes the test set once per
-	// lookahead setting, so it only runs when asked for explicitly — it is
-	// not part of "all".
-	if want["spec"] {
-		var ks []int
-		if *lookahead > 0 {
-			ks = []int{0, *lookahead}
-		}
-		rep, err := experiments.RunSpecBench(env, ks)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.SpecTable(rep).Render())
-		if !rep.MatchesExact {
-			return fmt.Errorf("speculative decode diverged from the exact path (see table)")
-		}
-		if *jsonOut != "" {
-			if err := rep.WriteJSON(*jsonOut); err != nil {
-				return err
-			}
-			fmt.Printf("# spec report written to %s\n", *jsonOut)
 		}
 	}
 	// The domain-pack benchmark trains two extra tiny models and spins up a
@@ -232,31 +192,6 @@ func run() error {
 				return err
 			}
 			fmt.Printf("# pack report written to %s\n", *jsonOut)
-		}
-	}
-	// The multi-core kernel sweep re-decodes the test set at several
-	// GOMAXPROCS settings (mutating the process's GOMAXPROCS as it goes), so
-	// it only runs when asked for explicitly — it is not part of "all".
-	if want["cores"] {
-		rep, err := experiments.RunCoresBench(env)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.CoresTable(rep).Render())
-		if rep.Warning != "" {
-			fmt.Printf("# warning: %s\n", rep.Warning)
-		}
-		if !rep.ParallelMatchesSerial {
-			return fmt.Errorf("sharded kernels diverged from the serial baseline (see table)")
-		}
-		if !rep.QuantizedMatchesFloat32 {
-			return fmt.Errorf("int8 kernels diverged from float32 on snapped weights (see table)")
-		}
-		if *jsonOut != "" {
-			if err := rep.WriteJSON(*jsonOut); err != nil {
-				return err
-			}
-			fmt.Printf("# cores report written to %s\n", *jsonOut)
 		}
 	}
 	// The open-loop load sweep spins up multi-shard lejitd fleets and drives

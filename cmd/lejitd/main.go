@@ -73,13 +73,10 @@ func run() error {
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound after SIGTERM")
 	seed := flag.Int64("seed", 1, "base seed for requests that do not pin their own")
-	lookahead := flag.Int("lookahead", 0, "speculative decoding window: decode up to k tokens on the oracle fast path, then validate the suffix with one batched solver settle; 0 = exact per-token path (output is bit-identical either way)")
 	solverBudget := flag.Uint64("solver-budget", 0, "max solver search nodes per SMT check; an exhausted check fails only its own request with 503 (0 = solver default)")
 	solverTimeout := flag.Duration("solver-timeout", 0, "wall-clock budget per SMT check (0 = none)")
 	degradedThreshold := flag.Int("degraded-threshold", 0, "report /healthz status \"degraded\" once this many requests exhausted their solver budget (0 = disabled)")
 	prefixCacheMB := flag.Int("prefix-cache-mb", 64, "per-pack cross-request prefix cache budget in MiB: decodes sharing a prompt prefix reuse transformer KV and solver state across batches (0 = disabled)")
-	kernelWorkers := flag.Int("kernel-workers", 0, "GEMM worker-group size for nn-backed packs; output is bit-identical at any count (0 = serial, <0 = GOMAXPROCS); a pack's kernel_workers manifest directive wins")
-	quantize := flag.String("quantize", "", "int8 weight quantization for nn-backed packs: exact|snap ('' = off); a pack's quantize manifest directive wins")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty, never on the public listener")
 	flag.Parse()
 
@@ -88,35 +85,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *quantize != "" && *quantize != nn.QuantExact && *quantize != nn.QuantSnap {
-		return fmt.Errorf("-quantize %q (want exact|snap)", *quantize)
-	}
-	// Budgets, the speculative window, and the kernel knobs are engine
-	// state, so they apply per registered pack — and ride along across hot
-	// reloads, which rebuild engines from the current configuration. Packs
-	// whose manifests pin kernel_workers/quantize keep their own settings.
-	for _, name := range reg.Names() {
-		pk, _ := reg.Get(name)
-		if *solverBudget > 0 || *solverTimeout > 0 {
+	// Budgets are engine state, so they apply per registered pack — and
+	// ride along across hot reloads, which rebuild engines from the current
+	// configuration.
+	if *solverBudget > 0 || *solverTimeout > 0 {
+		for _, name := range reg.Names() {
+			pk, _ := reg.Get(name)
 			pk.Engine.SetSolverBudget(*solverBudget, *solverTimeout)
-		}
-		if *lookahead > 0 {
-			pk.Engine.SetLookahead(*lookahead)
-		}
-		if *kernelWorkers != 0 && pk.Def.KernelWorkers == 0 {
-			if eff := pk.Engine.SetKernelWorkers(*kernelWorkers); eff > 1 {
-				logf("lejitd: pack %s: GEMM worker group of %d", name, eff)
-			}
-		}
-		if *quantize != "" && pk.Def.Quantize == "" {
-			st, err := pk.Engine.SetWeightQuantization(*quantize)
-			if err != nil {
-				// Uniform-LM packs have no weights to quantize; the flag is
-				// best-effort across the registry, so skip them.
-				logf("lejitd: pack %s: -quantize skipped: %v", name, err)
-				continue
-			}
-			logf("lejitd: pack %s: int8 weights (%s, row coverage %.2f)", name, st.Mode, st.Coverage)
 		}
 	}
 	srv, err := server.New(server.Config{

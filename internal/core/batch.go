@@ -45,10 +45,6 @@ type BatchRequest struct {
 	// exists for isolation — e.g. keeping a tenant's prompts out of shared
 	// cache state — and for cold-path measurement.
 	NoPrefixCache bool
-	// Lookahead, when non-nil, overrides the engine's speculative-decoding
-	// window (Config.Lookahead) for this record; 0 forces the exact path.
-	// Output is bit-identical for every value (DESIGN.md §13).
-	Lookahead *int
 }
 
 // prefixCacheOffKey marks a context whose decodes must skip the prefix
@@ -78,10 +74,7 @@ type emitKey struct{}
 type EmitFn func(slot int, text string)
 
 // WithEmit returns a context under which guided decodes stream each
-// completed slot to fn at the moment it becomes exact: immediately on the
-// non-speculative path, and at window commit on the speculative one — a slot
-// inside an open lookahead window is never emitted, so a rollback can never
-// retract streamed bytes (DESIGN.md §16). The serving layer uses it for SSE
+// completed slot to fn as soon as its separator is decoded (DESIGN.md §16). The serving layer uses it for SSE
 // responses; callers invoking ImputeCtx/GenerateCtx directly can too.
 func WithEmit(ctx context.Context, fn EmitFn) context.Context {
 	return context.WithValue(ctx, emitKey{}, fn)
@@ -91,25 +84,6 @@ func WithEmit(ctx context.Context, fn EmitFn) context.Context {
 func emitFor(ctx context.Context) EmitFn {
 	fn, _ := ctx.Value(emitKey{}).(EmitFn)
 	return fn
-}
-
-// lookaheadKey carries a per-request speculation-window override.
-type lookaheadKey struct{}
-
-// WithLookahead returns a context under which guided decodes use a
-// speculation window of k tokens instead of the engine's Config.Lookahead
-// (0 forces the exact path). The serving layer uses it for per-request
-// overrides; callers invoking ImputeCtx/GenerateCtx directly can too.
-func WithLookahead(ctx context.Context, k int) context.Context {
-	return context.WithValue(ctx, lookaheadKey{}, k)
-}
-
-// lookaheadFor resolves the effective speculation window for a decode.
-func lookaheadFor(ctx context.Context, def int) int {
-	if k, ok := ctx.Value(lookaheadKey{}).(int); ok {
-		return k
-	}
-	return def
 }
 
 // BatchResult pairs one prompt's decode outcome with its index.
@@ -288,9 +262,6 @@ func (e *Engine) runRequest(ctx context.Context, reqs []BatchRequest, i int, see
 	}
 	if reqs[i].NoPrefixCache {
 		rctx = DisablePrefixCache(rctx)
-	}
-	if reqs[i].Lookahead != nil {
-		rctx = WithLookahead(rctx, *reqs[i].Lookahead)
 	}
 	s := batchSeed(seed, i)
 	if reqs[i].Seed != nil {

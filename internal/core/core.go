@@ -18,6 +18,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
@@ -159,22 +160,7 @@ type Config struct {
 
 	Temperature float64 // softmax temperature (0 → 1.0)
 	TopK        int     // restrict sampling to the K most likely admissible tokens (0 → all)
-	// KernelWorkers sizes the LM's kernel worker group (multi-core GEMM
-	// sharding, DESIGN.md §15): n > 1 shards eligible kernels across n
-	// goroutines, negative means GOMAXPROCS, 0 leaves the model's current
-	// setting untouched. Only nn-backed LMs (WrapNN) honor it; output is
-	// bit-identical at every setting. The worker group lives on the model,
-	// so it is shared by every engine and clone over that model.
-	KernelWorkers int
-	// QuantizeWeights builds the LM's int8 weight store at engine
-	// construction: nn.QuantExact keeps the weights untouched and serves
-	// only rows with an exact int8 round-trip (typically none for trained
-	// float32 weights), nn.QuantSnap snaps the weights onto their int8 grid
-	// once so the whole model streams quantized. Empty leaves the model
-	// as-is. Like the worker group, the store is model-level shared state;
-	// logits are unchanged by construction (the dequant-exact invariant).
-	QuantizeWeights string
-	MaxNodes        uint64 // solver search budget per Check (0 → solver default)
+	MaxNodes    uint64  // solver search budget per Check (0 → solver default)
 	// SolverTimeout is the wall-clock budget per solver Check (0 → none).
 	// A Check that exceeds it returns Unknown and the lane fails with an
 	// error unwrapping to ErrBudget, so one pathological rule set cannot
@@ -190,21 +176,8 @@ type Config struct {
 	// ValidateFastPath cross-checks every fast-path answer against a real
 	// solver probe, counting disagreements in Stats.FastPathMismatches.
 	// Debugging/verification mode: it defeats the fast path's purpose and
-	// inflates SolverChecks. With Lookahead set it also cross-checks the
-	// speculative suffix validation: every deferred probe is re-checked
-	// exactly even when the batched model already certified it, and any
-	// disagreement lands in FastPathMismatches too.
+	// inflates SolverChecks.
 	ValidateFastPath bool
-	// Lookahead enables speculative constrained decoding (DESIGN.md §13):
-	// decode up to Lookahead sampled tokens per window on the interval fast
-	// path and grammar masks alone — feasibility probes neither can decide
-	// are journaled and assumed true — then settle the whole window against
-	// the solver at once, rolling back to the first optimistically-admitted
-	// position when validation refutes one. 0 disables speculation: the
-	// exact token-at-a-time oracle path, unchanged. Output is bit-identical
-	// either way; only LeJIT-mode lanes on rewindable (nn-backed) LMs
-	// speculate. Per-request override: BatchRequest.Lookahead.
-	Lookahead int
 	// TraceHook, when set, receives one TraceStep per guided decoding
 	// step — the observability channel for debugging rule interactions
 	// and for demonstrating minimal invasiveness. Not invoked by the
@@ -256,22 +229,10 @@ type Stats struct {
 	// snapshots this decode inserted into the cache.
 	PrefixHitTokens int
 	PrefixCaptures  int
-	// SpecAcceptedTokens counts sampled tokens decoded inside a speculation
-	// window (Config.Lookahead) that survived suffix validation;
-	// SpecRollbacks counts windows that failed it and re-decoded from the
-	// first refuted position. Both zero when speculation is off. Note that
-	// speculation shifts work between the Oracle* mechanism counters (a
-	// deferred probe is neither fast path nor solver probe at ask time) —
-	// only the output and the mask-derived counters (Tokens, MaskedSteps,
-	// ForcedSteps) are invariant across Lookahead settings.
+	// SpecAcceptedTokens is always 0. Speculative decoding was removed
+	// (DESIGN.md §13); the field stays because the benchmark in perfbench/
+	// reads it to assert that no speculation ran.
 	SpecAcceptedTokens int
-	SpecRollbacks      int
-	// KernelWorkers is the LM kernel worker-group size this decode ran
-	// under (1 = serial; 0 for non-nn LMs). QuantizedWeightRows is the
-	// fraction of weight rows served from the int8 store (0 when the store
-	// is absent or disabled).
-	KernelWorkers       int
-	QuantizedWeightRows float64
 }
 
 // Result is one decoded record plus its statistics.
@@ -429,22 +390,6 @@ func newEngine(cfg Config, ruleFormula smt.Formula) (*Engine, error) {
 			}
 		}
 	}
-	// Kernel configuration lands on the shared model before the fingerprint
-	// is taken. Both calls are idempotent on the model (SetKernelWorkers
-	// no-ops on an unchanged count, Quantize returns the existing store), so
-	// the clone path re-applying the same config mid-serve is free — and a
-	// snap-mode Quantize changes weights only on the first engine build,
-	// before any decoding, never under a live prefix cache.
-	if lm, ok := cfg.LM.(nnLM); ok {
-		if cfg.KernelWorkers != 0 {
-			lm.m.SetKernelWorkers(cfg.KernelWorkers)
-		}
-		if cfg.QuantizeWeights != "" {
-			if _, err := lm.m.Quantize(cfg.QuantizeWeights); err != nil {
-				return nil, fmt.Errorf("core: quantizing weights: %w", err)
-			}
-		}
-	}
 	e.fingerprint = ruleFingerprint(cfg)
 	return e, nil
 }
@@ -516,64 +461,6 @@ func (e *Engine) SetSolverBudget(maxNodes uint64, timeout time.Duration) {
 		}
 		c.cfg.SolverTimeout = timeout
 		c.solver.Timeout = timeout
-	}
-	e.poolMu.Unlock()
-}
-
-// SetKernelWorkers sizes the LM's kernel worker group after construction,
-// mirroring SetSolverBudget: the count is written into the config so future
-// clones inherit it (their re-application is a no-op on the shared model),
-// and idle pooled clones' configs are updated in place. Returns the
-// effective worker count — 0 when the LM is not nn-backed (non-transformer
-// LMs have no kernels to shard). Call before decoding begins.
-func (e *Engine) SetKernelWorkers(n int) int {
-	lm, ok := e.cfg.LM.(nnLM)
-	if !ok {
-		return 0
-	}
-	eff := lm.m.SetKernelWorkers(n)
-	e.cfg.KernelWorkers = eff
-	e.poolMu.Lock()
-	for _, c := range e.pool {
-		c.cfg.KernelWorkers = eff
-	}
-	e.poolMu.Unlock()
-	return eff
-}
-
-// SetWeightQuantization builds the LM's int8 weight store after
-// construction (mode nn.QuantExact or nn.QuantSnap; see
-// Config.QuantizeWeights) and records the mode in the config for future
-// clones. Idempotent on the shared model — a second call returns the
-// existing store's stats. Returns an error for unknown modes or non-nn LMs.
-// Call before decoding begins: snap mode rewrites the model's weights.
-func (e *Engine) SetWeightQuantization(mode string) (nn.QuantStats, error) {
-	lm, ok := e.cfg.LM.(nnLM)
-	if !ok {
-		return nn.QuantStats{}, fmt.Errorf("core: LM is not an nn model; nothing to quantize")
-	}
-	st, err := lm.m.Quantize(mode)
-	if err != nil {
-		return nn.QuantStats{}, err
-	}
-	e.cfg.QuantizeWeights = st.Mode
-	e.poolMu.Lock()
-	for _, c := range e.pool {
-		c.cfg.QuantizeWeights = st.Mode
-	}
-	e.poolMu.Unlock()
-	return st, nil
-}
-
-// SetLookahead sets the speculative-decoding window (Config.Lookahead)
-// after construction, mirroring SetSolverBudget: it is written into the
-// config so future clones inherit it, and idle pooled clones are updated in
-// place. Call before decoding begins.
-func (e *Engine) SetLookahead(k int) {
-	e.cfg.Lookahead = k
-	e.poolMu.Lock()
-	for _, c := range e.pool {
-		c.cfg.Lookahead = k
 	}
 	e.poolMu.Unlock()
 }
@@ -732,11 +619,9 @@ func (e *Engine) newPromptedSession(prompt string) (Session, error) {
 // sampleMasked samples a token among allowed ids using the engine's
 // temperature and top-K, renormalizing the remaining mass so the model's
 // relative preferences among admissible tokens are preserved (the
-// minimal-invasiveness property, §3). rng is consumed through floatSource
-// so speculative lanes can substitute a replaying buffer (spec.go); the
-// draw discipline — exactly one Float64, and none for a forced mask — is
-// what keeps RNG streams aligned across rollbacks.
-func (e *Engine) sampleMasked(logits []float32, allowed []int, rng floatSource) int {
+// minimal-invasiveness property, §3). It draws exactly one Float64 from rng,
+// and none for a forced mask.
+func (e *Engine) sampleMasked(logits []float32, allowed []int, rng *rand.Rand) int {
 	if len(allowed) == 0 {
 		panic("core: sampleMasked with empty candidate set")
 	}

@@ -71,9 +71,6 @@ func (e *Engine) guided(ctx context.Context, known rules.Record, rng *rand.Rand)
 			// Snapshot capture at slot boundaries is a COW clone: pages are
 			// shared, so the cost is O(pages) bookkeeping, not a KV copy.
 			ld.capture = ns.Clone
-			// The paged session can rewind, which is what arms speculative
-			// decoding (Config.Lookahead); other LMs stay on the exact path.
-			ld.installRewind(ns.Len, ns.Rewind)
 			defer ns.Release()
 		}
 		for !ld.done() {

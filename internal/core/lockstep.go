@@ -80,17 +80,6 @@ type prefixBatchSession interface {
 	CloneLane(lane int) *nn.Session
 }
 
-// rewindBatchSession is the optional BatchSession extension speculative
-// decoding needs: rewinding one lane to an earlier position and restoring
-// its logits row in place. *nn.BatchSession implements it; lanes of a
-// BatchLM whose sessions do not simply decode on the exact path. Lanes
-// speculate privately between shared AppendBatch steps — a rollback only
-// moves the lane's own ragged position, which the batched forward already
-// handles, so batch-mates never desync.
-type rewindBatchSession interface {
-	RewindLane(lane, pos int, logits []float32) error
-}
-
 // lsLane is one record in flight inside a lock-step group.
 type lsLane struct {
 	out  *BatchResult
@@ -148,9 +137,6 @@ func (e *Engine) decodeLockStep(ctx context.Context, reqs []BatchRequest, idxs [
 		if reqs[i].NoPrefixCache {
 			rctx = DisablePrefixCache(rctx)
 		}
-		if reqs[i].Lookahead != nil {
-			rctx = WithLookahead(rctx, *reqs[i].Lookahead)
-		}
 		eng, err := e.acquireClone()
 		if err != nil {
 			out[i].Err = err
@@ -170,13 +156,6 @@ func (e *Engine) decodeLockStep(ctx context.Context, reqs []BatchRequest, idxs [
 			la.ld = eng.newLaneDecoderPlan(rctx, reqs[i].Prompt, rand.New(rand.NewSource(s)), plan)
 			if la.ld.done() {
 				return nil
-			}
-			if rbs, ok := bs.(rewindBatchSession); ok {
-				slot := la.slot
-				la.ld.installRewind(
-					func() int { return bs.Len(slot) },
-					func(pos int, logits []float32) error { return rbs.RewindLane(slot, pos, logits) },
-				)
 			}
 			if !canWarm {
 				return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -313,5 +314,54 @@ func TestLockStepClonePool(t *testing.T) {
 		if fmt.Sprint(first[i].Res.Rec) != fmt.Sprint(second[i].Res.Rec) {
 			t.Errorf("record %d drifted across pooled batches: %v != %v", i, first[i].Res.Rec, second[i].Res.Rec)
 		}
+	}
+}
+
+// TestReleaseClonePoolCap: the pool retains up to max(2×NumCPU, observed
+// batch demand) clones — the demand high-water mark lifts the CPU-derived
+// cap so a large micro-batch on a small host keeps its lane engines.
+func TestReleaseClonePoolCap(t *testing.T) {
+	e := nnTestEngine(t)
+	drain := func() {
+		e.poolMu.Lock()
+		e.pool = nil
+		e.poolDemand = 0
+		e.poolMu.Unlock()
+	}
+	drain()
+	defer drain()
+
+	baseCap := 2 * runtime.NumCPU()
+	want := baseCap + 3
+	clones := make([]*Engine, want+2)
+	for i := range clones {
+		c, err := e.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clones[i] = c
+	}
+
+	for _, c := range clones {
+		e.releaseClone(c)
+	}
+	e.poolMu.Lock()
+	got := len(e.pool)
+	e.poolMu.Unlock()
+	if got != baseCap {
+		t.Fatalf("pool retained %d clones with no recorded demand, want %d", got, baseCap)
+	}
+
+	drain()
+	e.notePoolDemand(want)
+	e.notePoolDemand(1) // a smaller batch must not lower the high-water mark
+	for _, c := range clones {
+		e.releaseClone(c)
+	}
+	e.poolMu.Lock()
+	got = len(e.pool)
+	e.poolMu.Unlock()
+	if got != want {
+		t.Fatalf("pool retained %d clones with demand %d, want %d", got, want, want)
 	}
 }

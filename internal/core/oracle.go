@@ -47,16 +47,7 @@ type slotOracle struct {
 	wLo, wHi int64   // extreme witnessed-feasible values
 	wvals    []int64 // individual witnesses (tainted slots only)
 
-	// spec, when non-nil with an open window, redirects probes the fast
-	// path cannot decide into the lane's speculation journal instead of the
-	// solver: the probe is answered true optimistically and settled by the
-	// window's batched suffix validation (spec.go, DESIGN.md §13).
-	// Optimistic answers never feed the interval state — addWitness and
-	// noteUnsat accept only certificates.
-	spec *laneSpec
-
 	undecided [][2]int64 // FeasibleAny scratch
-	one       [1][2]int64
 }
 
 // newSlotOracle builds the oracle for slot variable v at the current epoch.
@@ -232,24 +223,16 @@ func (o *slotOracle) tryPatch(x int64) bool {
 	return false
 }
 
-// patchValue attempts to keep lastModel a full model under M[v] = x.
-// Callers must ensure lastModel is valid for the current stack minus any
-// constraint on v itself (the oracle fast path and the separator-assert
-// repair in advance() both do).
-func (e *Engine) patchValue(v smt.Var, x int64) bool {
-	return e.patchModel(e.lastModel, v, x)
-}
-
-// patchModel attempts to keep m a full model of the current stack under
-// M[v] = x: it evaluates every rule conjunct mentioning v under the patched
-// model, keeping the patch on success and rolling it back on any failure
-// (including an evaluation error, which would mean the model is not
+// patchValue attempts to keep lastModel a full model of the current stack
+// under M[v] = x: it evaluates every rule conjunct mentioning v under the
+// patched model, keeping the patch on success and rolling it back on any
+// failure (including an evaluation error, which would mean the model is not
 // complete over the conjunct's variables — treated as "cannot certify",
-// never as feasible). m must be a model of the current stack minus any
-// constraint on v itself — speculative suffix validation runs this against
-// a scratch copy of the window's settle model at a replayed probe-time
-// stack, where that holds because the stack is a prefix of the settled one.
-func (e *Engine) patchModel(m map[smt.Var]int64, v smt.Var, x int64) bool {
+// never as feasible). Callers must ensure lastModel is valid for the
+// current stack minus any constraint on v itself (the oracle fast path and
+// the separator-assert repair in advance() both do).
+func (e *Engine) patchValue(v smt.Var, x int64) bool {
+	m := e.lastModel
 	old := m[v]
 	if x == old {
 		// m already satisfies the stack with this value.
@@ -432,11 +415,6 @@ func (o *slotOracle) Feasible(lo, hi int64) bool {
 			return true
 		}
 	}
-	if sp := o.spec; sp != nil && sp.open {
-		o.one[0] = [2]int64{lo, hi}
-		sp.deferProbe(o.v, o.one[:])
-		return true
-	}
 	return o.probe(lo, hi)
 }
 
@@ -474,7 +452,7 @@ func (o *slotOracle) FeasibleAny(ranges [][2]int64) bool {
 		}
 	}
 	o.undecided = und
-	for j, r := range und {
+	for _, r := range und {
 		o.st.OracleQueries++
 		// Earlier probes in this loop may have refined the state.
 		if d := o.answerLocal(r[0], r[1]); d != 0 {
@@ -489,14 +467,6 @@ func (o *slotOracle) FeasibleAny(ranges [][2]int64) bool {
 			if o.e.cfg.ValidateFastPath {
 				o.crossCheck(r[0], r[1], true)
 			}
-			return true
-		}
-		if sp := o.spec; sp != nil && sp.open {
-			// Defer the whole undecided remainder as one disjunctive probe:
-			// its exact answer is precisely this loop's residual answer
-			// (every earlier range was proven infeasible), so validation
-			// decides the batch query itself, not a single range of it.
-			sp.deferProbe(o.v, und[j:])
 			return true
 		}
 		if o.probe(r[0], r[1]) {

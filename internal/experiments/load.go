@@ -91,7 +91,7 @@ type LoadReport struct {
 	Curves []LoadCurve `json:"curves"`
 
 	// StreamedMatchesUnary is the bit-identity gate: per fleet, every
-	// verification pair (sequential, concurrent wave, lookahead-8) and every
+	// verification pair (sequential, concurrent wave) and every
 	// in-sweep streamed response concatenated to exactly the unary line.
 	StreamedMatchesUnary bool `json:"streamed_matches_unary"`
 	// StaleEpochs counts 200s whose epoch differed from the fleet's pack
@@ -132,14 +132,12 @@ type LoadPoint struct {
 	TTFTP95Ms float64 `json:"ttft_p95_ms"`
 }
 
-// loadCombo is one (prompt, seed) pair in its four request encodings. The
+// loadCombo is one (prompt, seed) pair in its two request encodings. The
 // seed is pinned so every decode of the combo must reproduce the same line —
 // that determinism is what makes mis-seeding observable from the outside.
 type loadCombo struct {
-	unary      []byte
-	streamed   []byte
-	unaryLA    []byte // lookahead 8: exercises the speculative window
-	streamedLA []byte
+	unary    []byte
+	streamed []byte
 }
 
 func buildLoadCombo(known any, seed int64) (loadCombo, error) {
@@ -155,13 +153,7 @@ func buildLoadCombo(known any, seed int64) (loadCombo, error) {
 	if c.unary, err = mk(nil); err != nil {
 		return c, err
 	}
-	if c.streamed, err = mk(map[string]any{"stream": true}); err != nil {
-		return c, err
-	}
-	if c.unaryLA, err = mk(map[string]any{"lookahead": 8}); err != nil {
-		return c, err
-	}
-	c.streamedLA, err = mk(map[string]any{"stream": true, "lookahead": 8})
+	c.streamed, err = mk(map[string]any{"stream": true})
 	return c, err
 }
 
@@ -293,8 +285,8 @@ func loadServer(env *Env, cfg LoadBenchConfig, replicas int) (*server.Server, st
 
 // verifyStreamed proves streamed == unary on one fleet before load: per combo
 // sequentially (solo decode path), as one concurrent wave per mode (lock-step
-// path, nn-backed lanes coalesce), and once with an 8-token speculative
-// window. Returns the expected line per combo and the pack epoch served.
+// path, nn-backed lanes coalesce). Returns the expected line per combo and
+// the pack epoch served.
 func verifyStreamed(client *http.Client, base string, combos []loadCombo) (lines []string, epoch string, errs int, match bool) {
 	match = true
 	lines = make([]string, len(combos))
@@ -351,18 +343,6 @@ func verifyStreamed(client *http.Client, base string, combos []loadCombo) (lines
 		if u.line != lines[i] || s.line != lines[i] || s.concat != lines[i] {
 			match = false
 		}
-	}
-
-	// Speculative window: lookahead-8 is exact, so both modes must reproduce
-	// the lookahead-0 line bit for bit.
-	u := doUnary(client, base, combos[0].unaryLA)
-	s := doStream(client, base, combos[0].streamedLA, nil)
-	switch {
-	case u.err != nil || u.code != http.StatusOK || s.err != nil || s.code != http.StatusOK:
-		errs++
-		match = false
-	case u.line != lines[0] || s.line != lines[0] || s.concat != lines[0]:
-		match = false
 	}
 	return lines, epoch, errs, match
 }

@@ -225,7 +225,8 @@ func (e *Env) loadOrTrain() error {
 				e.Model = m
 				return nil
 			}
-			e.Logf("experiments: cache %s unreadable (%v), retraining", path, err)
+			// Always printed: a retrain takes minutes and rewrites the file.
+			fmt.Fprintf(os.Stderr, "experiments: cache %s unreadable (%v), retraining\n", path, err)
 		}
 	}
 
@@ -281,19 +282,12 @@ func Corpus(tok *vocab.Tokenizer, ws []dataset.Window) ([][]int, error) {
 // EngineFor builds a decoding engine over the trained model for the given
 // rule set and mode.
 func (e *Env) EngineFor(rs *rules.RuleSet, mode core.Mode) (*core.Engine, error) {
-	return e.EngineForModel(e.Model, rs, mode)
-}
-
-// EngineForModel is EngineFor over an explicit model — the cores benchmark
-// decodes against a gob-cloned copy so snap-mode quantization never touches
-// the shared Env model.
-func (e *Env) EngineForModel(m *nn.Model, rs *rules.RuleSet, mode core.Mode) (*core.Engine, error) {
 	slots, err := core.TelemetryGrammar(e.Schema, dataset.CoarseFields(), dataset.FineField)
 	if err != nil {
 		return nil, err
 	}
 	return core.NewEngine(core.Config{
-		LM: core.WrapNN(m), Tok: e.Tok, Schema: e.Schema,
+		LM: core.WrapNN(e.Model), Tok: e.Tok, Schema: e.Schema,
 		Rules: rs, Slots: slots, Mode: mode,
 		Temperature: e.Scale.Temperature,
 	})

@@ -48,12 +48,8 @@ type BatchSession struct {
 	// r-th lane passed to the current AppendBatch call.
 	x, ln, q, k, v, attn, proj, mlp []float32 // [n*Dim]
 	hbuf, hg                        []float32 // [n*F]
-	// Per-block kernel scratch: sc.p holds one attention score row per
-	// worker block (lanes attend in parallel blocks; serial attention uses
-	// sc.p[0]), sc.dq the dequant staging slabs when the model has an int8
-	// store. Sized for the worker count at construction.
-	sc     kernelScratch
-	inStep []bool // [n] duplicate-lane check scratch
+	p                               []float32 // [Ctx] attention row (lanes attend sequentially)
+	inStep                          []bool    // [n] duplicate-lane check scratch
 }
 
 // NewBatchSession creates a lock-step session with n lanes, all empty.
@@ -65,12 +61,7 @@ func (m *Model) NewBatchSession(n int) *BatchSession {
 	f := m.Cfg.ff() * d
 	ctx := m.Cfg.Ctx
 	cache := ctx * d
-	workers := m.KernelWorkers()
-	scratch := workers * ctx // per-block attention rows
-	if m.quant.Load() != nil {
-		scratch += workers * 12 * f // per-block dequant staging
-	}
-	a := tensor.NewArena(2*m.Cfg.Layers*n*cache + n*m.Cfg.Vocab + 8*n*d + 2*n*f + scratch)
+	a := tensor.NewArena(2*m.Cfg.Layers*n*cache + n*m.Cfg.Vocab + 8*n*d + 2*n*f + ctx)
 	bs := &BatchSession{
 		m:      m,
 		n:      n,
@@ -94,16 +85,7 @@ func (m *Model) NewBatchSession(n int) *BatchSession {
 	bs.mlp = a.Alloc(n * d)
 	bs.hbuf = a.Alloc(n * f)
 	bs.hg = a.Alloc(n * f)
-	bs.sc.p = make([][]float32, workers)
-	for i := range bs.sc.p {
-		bs.sc.p[i] = a.Alloc(ctx)
-	}
-	if m.quant.Load() != nil {
-		bs.sc.dq = make([][]float32, workers)
-		for i := range bs.sc.dq {
-			bs.sc.dq[i] = a.Alloc(12 * f)
-		}
-	}
+	bs.p = a.Alloc(ctx)
 	return bs
 }
 
@@ -172,13 +154,6 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 	q, k, v, attn := bs.q[:rows*d], bs.k[:rows*d], bs.v[:rows*d], bs.attn[:rows*d]
 	proj, mlp := bs.proj[:rows*d], bs.mlp[:rows*d]
 	hbuf, hg := bs.hbuf[:rows*f], bs.hg[:rows*f]
-	mq := m.activeQuant()
-	// Attention cost this step, for the parallel-dispatch decision: each
-	// lane's q·K and p·V passes touch 2·d floats per attended position.
-	attnWork := 0
-	for _, lane := range lanes {
-		attnWork += 2 * d * (bs.pos[lane] + 1)
-	}
 	for l := range m.layers {
 		ly := &m.layers[l]
 		for r := 0; r < rows; r++ {
@@ -186,8 +161,7 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 		}
 
 		// One GEMM for all lanes' q/k/v: each weight block is read once.
-		tq, tk, tv, two, tw1, tw2 := mq.layerTensors(l)
-		m.gemm3(q, k, v, ln, ly.wq.W, ly.wk.W, ly.wv.W, ly.bq.W, ly.bk.W, ly.bv.W, tq, tk, tv, d, d, rows, &bs.sc)
+		matLinear3(q, k, v, ln, ly.wq.W, ly.wk.W, ly.wv.W, ly.bq.W, ly.bk.W, ly.bv.W, d, d, rows)
 
 		// Scatter k/v into each lane's head-major cache block.
 		kcl, vcl := bs.kc[l], bs.vc[l]
@@ -203,24 +177,31 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 
 		// Attention is inherently per-lane: ragged positions mean each lane
 		// attends over a different-length history of its own cache block.
-		// Lanes are independent, so the worker group shards them as lane
-		// blocks (each block gets its own score row sc.p[bi]); within a lane
-		// the arithmetic is untouched, so the partition is bit-exact.
-		if pool, blocks := m.kernelBlocks(attnWork, rows, 1, len(bs.sc.p)); blocks > 1 {
-			m.parallelOps.Add(1)
-			pool.parallelFor(blocks, func(bi int) {
-				for r := bi * rows / blocks; r < (bi+1)*rows/blocks; r++ {
-					bs.attendLane(kcl, vcl, q, attn, r, lanes[r], bs.sc.p[bi], scale)
+		for r, lane := range lanes {
+			t := bs.pos[lane]
+			base := lane * ctx * d
+			ar := attn[r*d : (r+1)*d]
+			for i := range ar {
+				ar[i] = 0
+			}
+			for hd := 0; hd < h; hd++ {
+				off := hd * dh
+				qh := q[r*d+off : r*d+off+dh]
+				kh := kcl[base+hd*ctx*dh:]
+				vh := vcl[base+hd*ctx*dh:]
+				p := bs.p[:t+1]
+				for j := 0; j <= t; j++ {
+					p[j] = tensor.Dot(qh, kh[j*dh:j*dh+dh]) * scale
 				}
-			})
-		} else {
-			m.serialOps.Add(1)
-			for r, lane := range lanes {
-				bs.attendLane(kcl, vcl, q, attn, r, lane, bs.sc.p[0], scale)
+				tensor.SoftmaxRow(p)
+				out := ar[off : off+dh]
+				for j := 0; j <= t; j++ {
+					tensor.Axpy(out, p[j], vh[j*dh:j*dh+dh])
+				}
 			}
 		}
 
-		m.gemm(proj, attn, ly.wo.W, ly.bo.W, two, d, d, rows, &bs.sc)
+		matLinear(proj, attn, ly.wo.W, ly.bo.W, d, d, rows)
 		for i := range x {
 			x[i] += proj[i]
 		}
@@ -228,9 +209,9 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 		for r := 0; r < rows; r++ {
 			tensor.LayerNormRow(ln[r*d:(r+1)*d], x[r*d:(r+1)*d], ly.ln2g.W, ly.ln2b.W)
 		}
-		m.gemm(hbuf, ln, ly.w1.W, ly.b1.W, tw1, d, f, rows, &bs.sc)
+		matLinear(hbuf, ln, ly.w1.W, ly.b1.W, d, f, rows)
 		tensor.GELU(hg, hbuf)
-		m.gemm(mlp, hg, ly.w2.W, ly.b2.W, tw2, f, d, rows, &bs.sc)
+		matLinear(mlp, hg, ly.w2.W, ly.b2.W, f, d, rows)
 		for i := range x {
 			x[i] += mlp[i]
 		}
@@ -241,43 +222,11 @@ func (bs *BatchSession) AppendBatch(lanes, toks []int) error {
 	}
 	// Tied head as a GEMM: vocab-outer so each embedding row is streamed once
 	// for all lanes; per lane this is the same ⟨ln, tok_v⟩ as Session.
-	m.headLogits(bs.logits, ln, lanes, rows, &bs.sc)
+	headLogits(bs.logits, ln, m.tok.W, lanes, d, m.Cfg.Vocab, rows)
 	for _, lane := range lanes {
 		bs.pos[lane]++
 	}
 	return nil
-}
-
-// attendLane runs one lane's causal attention over its cache block into the
-// compacted attn row r, using p as the score row. A method rather than a
-// closure inside AppendBatch so the serial hot path stays allocation-free.
-func (bs *BatchSession) attendLane(kcl, vcl, q, attn []float32, r, lane int, p []float32, scale float32) {
-	m := bs.m
-	d := m.Cfg.Dim
-	h := m.Cfg.Heads
-	dh := d / h
-	ctx := m.Cfg.Ctx
-	t := bs.pos[lane]
-	base := lane * ctx * d
-	ar := attn[r*d : (r+1)*d]
-	for i := range ar {
-		ar[i] = 0
-	}
-	for hd := 0; hd < h; hd++ {
-		off := hd * dh
-		qh := q[r*d+off : r*d+off+dh]
-		kh := kcl[base+hd*ctx*dh:]
-		vh := vcl[base+hd*ctx*dh:]
-		p := p[:t+1]
-		for j := 0; j <= t; j++ {
-			p[j] = tensor.Dot(qh, kh[j*dh:j*dh+dh]) * scale
-		}
-		tensor.SoftmaxRow(p)
-		out := ar[off : off+dh]
-		for j := 0; j <= t; j++ {
-			tensor.Axpy(out, p[j], vh[j*dh:j*dh+dh])
-		}
-	}
 }
 
 // Logits returns lane's next-token logits after its last step. The slice is
@@ -288,29 +237,6 @@ func (bs *BatchSession) Logits(lane int) []float32 {
 	}
 	v := bs.m.Cfg.Vocab
 	return bs.logits[lane*v : (lane+1)*v]
-}
-
-// RewindLane truncates one lane back to pos consumed tokens and restores its
-// pending logits row from the caller-supplied snapshot. The lane's KV cache
-// block needs no clearing: attention reads only positions ≤ the lane's
-// current length, and re-decoding overwrites the stale tail in place. The
-// logits are copied into the lane's fixed row, so a caller holding the
-// Logits(lane) slice sees the restored values. Other lanes are untouched —
-// this is how a speculating lock-step lane rolls back without desyncing the
-// batch (DESIGN.md §13).
-func (bs *BatchSession) RewindLane(lane, pos int, logits []float32) error {
-	v := bs.m.Cfg.Vocab
-	switch {
-	case lane < 0 || lane >= bs.n:
-		return fmt.Errorf("nn: RewindLane lane %d outside batch of %d", lane, bs.n)
-	case pos < 0 || pos > bs.pos[lane]:
-		return fmt.Errorf("nn: RewindLane(%d) outside [0,%d]", pos, bs.pos[lane])
-	case len(logits) != v:
-		return fmt.Errorf("nn: RewindLane logits length %d, want %d", len(logits), v)
-	}
-	bs.pos[lane] = pos
-	copy(bs.logits[lane*v:(lane+1)*v], logits)
-	return nil
 }
 
 // CloneLane extracts lane as an independent single-row Session — same
@@ -410,26 +336,4 @@ func (m *Model) AppendWeightBytes() int64 {
 	f := int64(m.Cfg.ff()) * d
 	perLayer := 4*d*d + 2*d*f // wq,wk,wv,wo + w1,w2
 	return 4 * (int64(m.Cfg.Layers)*perLayer + int64(m.Cfg.Vocab)*d)
-}
-
-// matLinear is the batched form of vecLinear: Y = X·W + b for X [rows, in]
-// and Y [rows, out], both compacted row-major. The loop order is weight
-// block outer, lane inner: each 4-row block of W is loaded once and folded
-// into every lane before moving on, so W streams from memory once per call
-// instead of once per lane. Within a lane the accumulation order is exactly
-// vecLinear's (same 4-wide blocks via accumBlock4, same tail), so each
-// output row is bit-identical to a vecLinear call on that row alone. This
-// is the serial full-range case of matLinearCols (gemm.go); the sharded and
-// int8 paths go through Model.gemm.
-func matLinear(y, x, w, b []float32, in, out, rows int) {
-	matLinearCols(y, x, w, b, nil, in, out, rows, 0, out, nil)
-}
-
-// matLinear3 is the batched form of vecLinear3: the three attention
-// projections for all lanes in one pass, with each 4-row block of Wq/Wk/Wv
-// read once per token step. Per lane the q/k/v accumulation order matches
-// vecLinear3 exactly, so the outputs are bit-identical to the single-row
-// kernel. Serial full-range case of matLinear3Cols (gemm.go).
-func matLinear3(q, k, v, x, wq, wk, wv, bq, bk, bv []float32, in, out, rows int) {
-	matLinear3Cols(q, k, v, x, wq, wk, wv, bq, bk, bv, nil, nil, nil, in, out, rows, 0, out, nil)
 }

@@ -16,8 +16,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 )
 
 // Config describes a model architecture.
@@ -93,19 +91,6 @@ type Model struct {
 
 	params []*Param // registry, fixed order (serialization + optimizer)
 	step   int      // Adam time step
-
-	// Inference runtime state, never serialized: the kernel worker group
-	// (parallel.go) and the int8 weight store (quant.go). Atomic pointers so
-	// sessions read them lock-free per dispatch; the mutexes serialize
-	// reconfiguration only.
-	kern    atomic.Pointer[kernelPool]
-	kernMu  sync.Mutex
-	quant   atomic.Pointer[modelQuant]
-	quantMu sync.Mutex
-	quantOn atomic.Bool
-
-	// Kernel dispatch counters (see KernelOps).
-	parallelOps, serialOps atomic.Uint64
 }
 
 // New initializes a model with GPT-2-style random weights (N(0, 0.02²),

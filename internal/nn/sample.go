@@ -30,9 +30,6 @@ type Session struct {
 	x, ln, q, k, v, attn, proj, mlp []float32 // [Dim]
 	hbuf, hg                        []float32 // [ff*Dim]
 	p                               []float32 // [Ctx] attention row, used up to pos+1
-	// Kernel-dispatch scratch (dequant staging). Sized at construction, so a
-	// session created before Quantize simply decodes from float32 weights.
-	sc kernelScratch
 }
 
 // NewSession starts an empty decoding session. KV pages are allocated as
@@ -58,12 +55,6 @@ func (s *Session) initScratch() {
 	s.hbuf = make([]float32, f)
 	s.hg = make([]float32, f)
 	s.p = make([]float32, s.m.Cfg.Ctx)
-	if s.m.quant.Load() != nil {
-		s.sc.dq = make([][]float32, s.m.KernelWorkers())
-		for i := range s.sc.dq {
-			s.sc.dq[i] = make([]float32, 12*f)
-		}
-	}
 }
 
 // Len reports the number of tokens consumed.
@@ -107,14 +98,12 @@ func (s *Session) Append(tok int) error {
 
 	ln, q, k, v, attn := s.ln, s.q, s.k, s.v, s.attn
 	hbuf, hg := s.hbuf, s.hg
-	mq := m.activeQuant()
 	for l := range m.layers {
 		ly := &m.layers[l]
 		tensor.LayerNormRow(ln, x, ly.ln1g.W, ly.ln1b.W)
 
 		// Project q/k/v in one fused pass over the layer-norm row.
-		tq, tk, tv, two, tw1, tw2 := mq.layerTensors(l)
-		m.gemm3(q, k, v, ln, ly.wq.W, ly.wk.W, ly.wv.W, ly.bq.W, ly.bk.W, ly.bv.W, tq, tk, tv, d, d, 1, &s.sc)
+		matLinear3(q, k, v, ln, ly.wq.W, ly.wk.W, ly.wv.W, ly.bq.W, ly.bk.W, ly.bv.W, d, d, 1)
 
 		// Scatter this position's k/v into its page, head-major.
 		kp, vp := page.k[l], page.v[l]
@@ -165,25 +154,24 @@ func (s *Session) Append(tok int) error {
 		}
 
 		proj := s.proj
-		m.gemm(proj, attn, ly.wo.W, ly.bo.W, two, d, d, 1, &s.sc)
+		matLinear(proj, attn, ly.wo.W, ly.bo.W, d, d, 1)
 		for j := range x {
 			x[j] += proj[j]
 		}
 
 		tensor.LayerNormRow(ln, x, ly.ln2g.W, ly.ln2b.W)
-		m.gemm(hbuf, ln, ly.w1.W, ly.b1.W, tw1, d, f, 1, &s.sc)
+		matLinear(hbuf, ln, ly.w1.W, ly.b1.W, d, f, 1)
 		tensor.GELU(hg, hbuf)
 		mlp := s.mlp
-		m.gemm(mlp, hg, ly.w2.W, ly.b2.W, tw2, f, d, 1, &s.sc)
+		matLinear(mlp, hg, ly.w2.W, ly.b2.W, f, d, 1)
 		for j := range x {
 			x[j] += mlp[j]
 		}
 	}
 
 	tensor.LayerNormRow(ln, x, m.lnfg.W, m.lnfb.W)
-	// Tied head: logits[v] = ⟨ln, tok_v⟩, vocab-sharded across the worker
-	// group when the dispatch is worth it.
-	m.headLogits(s.logits, ln, nil, 1, &s.sc)
+	// Tied head: logits[v] = ⟨ln, tok_v⟩.
+	headLogits(s.logits, ln, m.tok.W, nil, d, m.Cfg.Vocab, 1)
 	s.pos++
 	return nil
 }
@@ -197,33 +185,6 @@ func (s *Session) Logits() []float32 {
 		panic("nn: Logits before any Append")
 	}
 	return s.logits
-}
-
-// Rewind truncates the session back to pos consumed tokens and restores the
-// pending logits to the caller-supplied snapshot (a copy taken when the
-// session was at pos). Whole pages beyond the kept prefix are released; a
-// kept partial boundary page may still hold stale tail positions, but
-// attention only ever reads positions ≤ the current length, and the next
-// Append overwrites the stale slot (copy-on-write if the page is shared).
-// The logits are copied into the session's fixed buffer, so a caller holding
-// the Logits() slice sees the restored values in place. This is the cheap
-// per-lane checkpoint restore speculative decoding needs (DESIGN.md §13).
-func (s *Session) Rewind(pos int, logits []float32) error {
-	if pos < 0 || pos > s.pos {
-		return fmt.Errorf("nn: Rewind(%d) outside [0,%d]", pos, s.pos)
-	}
-	if len(logits) != len(s.logits) {
-		return fmt.Errorf("nn: Rewind logits length %d, want %d", len(logits), len(s.logits))
-	}
-	keep := (pos + PageTokens - 1) / PageTokens
-	for i := keep; i < len(s.pages); i++ {
-		s.pages[i].release()
-		s.pages[i] = nil
-	}
-	s.pages = s.pages[:keep]
-	s.pos = pos
-	copy(s.logits, logits)
-	return nil
 }
 
 // Clone returns an independent copy of the session: same consumed prefix,
@@ -304,9 +265,7 @@ func vecLinear(y, x, w, b []float32, in, out int) {
 // out so each projection's inner loop gets its own register allocation
 // scope; with the three loops inlined into one function body the live slice
 // headers spill and the fused projection ran ~50% slower than three
-// separate ones. The bounds are len(y) past each row start (not stride
-// multiples) so a column-range caller (matLinearCols with j0 > 0) stays in
-// bounds on the weight matrix's last 4-row block.
+// separate ones. Each row spans len(y) floats from its start.
 func accumBlock4(y, w []float32, stride int, x0, x1, x2, x3 float32) {
 	n := len(y)
 	r0 := w[:n]

@@ -55,10 +55,8 @@ func (h *histogram) write(w io.Writer, name string) {
 
 // packCounters are the decode counters kept per domain pack.
 type packCounters struct {
-	tokens        uint64
-	solverChecks  uint64
-	specAccepted  uint64
-	specRollbacks uint64
+	tokens       uint64
+	solverChecks uint64
 }
 
 // Metrics is the daemon's hand-rolled Prometheus registry: a handful of
@@ -79,11 +77,6 @@ type Metrics struct {
 
 	tokens       uint64 // decoded tokens (from core.Stats)
 	solverChecks uint64 // SMT checks attributable to served decodes
-
-	// Speculative-decoding counters (DESIGN.md §13): tokens committed via an
-	// accepted lookahead window, and windows rolled back after validation.
-	specAccepted  uint64
-	specRollbacks uint64
 
 	// perPack splits the decode counters above by domain pack.
 	perPack map[string]*packCounters
@@ -239,12 +232,10 @@ func (m *Metrics) countShardDrain() {
 	m.mu.Unlock()
 }
 
-func (m *Metrics) countDecode(pk string, tokens int, solverChecks uint64, specAccepted, specRollbacks int) {
+func (m *Metrics) countDecode(pk string, tokens int, solverChecks uint64) {
 	m.mu.Lock()
 	m.tokens += uint64(tokens)
 	m.solverChecks += solverChecks
-	m.specAccepted += uint64(specAccepted)
-	m.specRollbacks += uint64(specRollbacks)
 	pc := m.perPack[pk]
 	if pc == nil {
 		pc = &packCounters{}
@@ -252,8 +243,6 @@ func (m *Metrics) countDecode(pk string, tokens int, solverChecks uint64, specAc
 	}
 	pc.tokens += uint64(tokens)
 	pc.solverChecks += solverChecks
-	pc.specAccepted += uint64(specAccepted)
-	pc.specRollbacks += uint64(specRollbacks)
 	m.mu.Unlock()
 }
 
@@ -289,10 +278,8 @@ func (m *Metrics) budgetTrips() uint64 {
 type PackSnapshot struct {
 	Requests map[string]map[int]uint64 // route → code
 
-	Tokens             uint64
-	SolverChecks       uint64
-	SpecAcceptedTokens uint64
-	SpecRollbacks      uint64
+	Tokens       uint64
+	SolverChecks uint64
 
 	// Prefix and the reload counters are sampled from the pack registry.
 	Prefix       prefixcache.Stats
@@ -317,9 +304,6 @@ type Snapshot struct {
 	// decoding. A full in-flight batch with an empty queue shows up here,
 	// which the queue gauge alone would report as zero load.
 	Inflight int
-
-	SpecAcceptedTokens uint64
-	SpecRollbacks      uint64
 
 	BudgetExhausted uint64
 	PanicsRecovered uint64
@@ -362,9 +346,6 @@ func (m *Metrics) snapshotLocked() Snapshot {
 		Tokens:        m.tokens,
 		SolverChecks:  m.solverChecks,
 
-		SpecAcceptedTokens: m.specAccepted,
-		SpecRollbacks:      m.specRollbacks,
-
 		BudgetExhausted: m.budgetExhausted,
 		PanicsRecovered: m.panicsRecovered,
 		LanesRetired:    m.lanesRetired,
@@ -401,8 +382,6 @@ func (m *Metrics) snapshotLocked() Snapshot {
 		ps := packSnap(pk)
 		ps.Tokens = pc.tokens
 		ps.SolverChecks = pc.solverChecks
-		ps.SpecAcceptedTokens = pc.specAccepted
-		ps.SpecRollbacks = pc.specRollbacks
 		s.Packs[pk] = ps
 	}
 	if m.load != nil {
@@ -537,18 +516,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE lejitd_solver_checks_total counter")
 	for _, pk := range packNames {
 		fmt.Fprintf(w, "lejitd_solver_checks_total{pack=%q} %d\n", pk, m.perPack[pk].solverChecks)
-	}
-
-	fmt.Fprintln(w, "# HELP lejitd_speculation_accepted_tokens_total Tokens committed through accepted speculative lookahead windows, by domain pack.")
-	fmt.Fprintln(w, "# TYPE lejitd_speculation_accepted_tokens_total counter")
-	for _, pk := range packNames {
-		fmt.Fprintf(w, "lejitd_speculation_accepted_tokens_total{pack=%q} %d\n", pk, m.perPack[pk].specAccepted)
-	}
-
-	fmt.Fprintln(w, "# HELP lejitd_speculation_rollbacks_total Speculative windows rolled back after suffix validation failed, by domain pack.")
-	fmt.Fprintln(w, "# TYPE lejitd_speculation_rollbacks_total counter")
-	for _, pk := range packNames {
-		fmt.Fprintf(w, "lejitd_speculation_rollbacks_total{pack=%q} %d\n", pk, m.perPack[pk].specRollbacks)
 	}
 
 	if m.packStats != nil {

@@ -77,17 +77,6 @@ type Config struct {
 	// 200, so load balancers keep the instance) once at least this many
 	// requests have exhausted their solver budget. 0 disables degradation.
 	DegradedThreshold int
-	// KernelWorkers, when non-zero and Packs is nil, shards the wrapped
-	// engine's GEMM kernels across a worker group of that many goroutines
-	// (negative → GOMAXPROCS). Output is bit-identical at any worker count
-	// (DESIGN.md §15). No-op for non-nn engines. When Packs is set, worker
-	// groups are per-pack state (pack.Definition.KernelWorkers).
-	KernelWorkers int
-	// Quantize, when non-empty and Packs is nil, applies int8 weight
-	// quantization ("exact" or "snap", see nn.Model.Quantize) to the wrapped
-	// engine's model. Errors for non-nn engines. When Packs is set,
-	// quantization is per-pack state (pack.Definition.Quantize).
-	Quantize string
 	// PrefixCacheMB, when positive and Packs is nil, attaches a
 	// cross-request prefix cache of that many MiB to the wrapped engine
 	// (DESIGN.md §11): decodes sharing a prompt prefix reuse frozen
@@ -167,14 +156,6 @@ func New(cfg Config) (*Server, error) {
 		// single micro-batch: snapshots captured in one batch warm requests
 		// in every later one), so PrefixCacheMB becomes its byte budget.
 		s.packs = pack.NewRegistry(int64(cfg.PrefixCacheMB) << 20)
-		if cfg.KernelWorkers != 0 {
-			cfg.Engine.SetKernelWorkers(cfg.KernelWorkers)
-		}
-		if cfg.Quantize != "" {
-			if _, err := cfg.Engine.SetWeightQuantization(cfg.Quantize); err != nil {
-				return nil, fmt.Errorf("server: %w", err)
-			}
-		}
 		pk, err := pack.FromEngine("default", cfg.Engine, cfg.Rules, cfg.Schema)
 		if err != nil {
 			return nil, err
@@ -394,7 +375,6 @@ func (s *Server) serveDecode(w http.ResponseWriter, r *http.Request, route strin
 		Seed:          seed,
 		Decode:        decode,
 		NoPrefixCache: req.NoPrefixCache,
-		Lookahead:     req.Lookahead,
 		Start:         time.Now(),
 		Resp:          make(chan router.Result, 1),
 	}
@@ -468,7 +448,7 @@ func (s *Server) buildDecodeOutcome(pk *pack.Compiled, res router.Result) decode
 		}
 	}
 	st := res.Res.Stats
-	s.metrics.countDecode(pk.Def.Name, st.Tokens, st.SolverChecks, st.SpecAcceptedTokens, st.SpecRollbacks)
+	s.metrics.countDecode(pk.Def.Name, st.Tokens, st.SolverChecks)
 	out := &DecodeResponse{
 		Record:    res.Res.Rec,
 		Line:      formatLine(pk.Engine, res.Res.Rec),
@@ -479,7 +459,6 @@ func (s *Server) buildDecodeOutcome(pk *pack.Compiled, res router.Result) decode
 		Stats: StatsJSON{
 			Tokens: st.Tokens, MaskedSteps: st.MaskedSteps, ForcedSteps: st.ForcedSteps,
 			SolverChecks: st.SolverChecks, Attempts: st.Attempts,
-			SpecAcceptedTokens: st.SpecAcceptedTokens, SpecRollbacks: st.SpecRollbacks,
 		},
 	}
 	if pk.Rules != nil {

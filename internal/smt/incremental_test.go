@@ -173,3 +173,41 @@ func TestFeasibleRangeEndpointsAttainable(t *testing.T) {
 		}
 	}
 }
+
+// TestPopRestoresEpoch: a Pop returns the solver to the epoch it had at the
+// matching Push, so memos keyed on it (the base store, the slot oracle's
+// witness) are valid again — unless a variable was declared in between, in
+// which case the restored stack gets a fresh epoch that is then stable.
+func TestPopRestoresEpoch(t *testing.T) {
+	s := NewSolver()
+	x := s.NewVar("x", 0, 100)
+	s.Assert(Ge(V(x), C(10)))
+	e1 := s.Epoch()
+	s.Push()
+	s.Assert(Eq(V(x), C(42)))
+	if s.Epoch() == e1 {
+		t.Fatal("Assert kept the epoch")
+	}
+	s.Pop()
+	if got := s.Epoch(); got != e1 {
+		t.Fatalf("epoch after Pop = %d, want %d", got, e1)
+	}
+
+	s.Push()
+	y := s.NewVar("y", 0, 5)
+	s.Assert(Ge(V(y), C(1)))
+	s.Pop()
+	eNew := s.Epoch()
+	if eNew == e1 {
+		t.Fatal("epoch restored across a NewVar; variable sets differ")
+	}
+	s.Push()
+	s.Assert(Le(V(x), C(50)))
+	s.Pop()
+	if got := s.Epoch(); got != eNew {
+		t.Fatalf("epoch after second Pop = %d, want re-recorded %d", got, eNew)
+	}
+	if lo, hi, ok := s.BaseBounds(y); !ok || lo != 0 || hi != 5 {
+		t.Fatalf("BaseBounds(y) = [%d,%d] ok=%v, want [0,5] true", lo, hi, ok)
+	}
+}

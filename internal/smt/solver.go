@@ -74,11 +74,9 @@ type Solver struct {
 	// epoch identifies the solver's logical state: two moments with equal
 	// epochs have identical declared variables and identical assertion
 	// stacks. Anything memoized against an epoch (the warm-start base
-	// stores below, callers' oracle caches) is valid exactly when the
-	// epoch matches again. Fresh epochs come from epochSrc; returning to a
-	// previous state — TruncateTo, or an Assert that replays the formula a
-	// TruncateTo discarded — restores that state's old epoch, which is
-	// what keeps the memos warm across speculative stack rewinds.
+	// store below, callers' oracle caches) is valid exactly when the
+	// epoch matches again. Fresh epochs come from epochSrc; a Pop back to
+	// a previous stack restores that stack's old epoch.
 	epoch    uint64
 	epochSrc uint64 // monotone source of never-reused fresh epoch values
 	// gen guards epoch restoration: it advances when the variable set
@@ -89,28 +87,13 @@ type Solver struct {
 	gen0   uint64
 	// posEpoch[i] and posGen[i] record the epoch right after position i was
 	// asserted (equivalently: the epoch of the stack prefix of length i+1)
-	// and the variable generation it was recorded under. TruncateTo uses
-	// them to restore the shortened stack's epoch, re-recording at the
-	// current generation when the old one no longer applies.
+	// and the variable generation it was recorded under. Pop uses them to
+	// restore the shortened stack's epoch, re-recording at the current
+	// generation when the old one no longer applies.
 	posEpoch []uint64
 	posGen   []uint64
-	// shadow retains the tail most recently discarded by TruncateTo,
-	// starting at stack position shadowBase. An Assert that exactly matches
-	// the next shadowed formula is an undo: it reuses the retained compiled
-	// form and restores the retained epoch instead of recompiling and
-	// invalidating every memo. The first mismatching Assert drops the
-	// shadow. This is what makes a speculation journal replay (truncate to
-	// a checkpoint, re-assert the same suffix) free for the base stores.
-	shadow     []shadowEntry
-	shadowBase int
 
 	base *baseStore // memoized propagated store for the current epoch
-	// baseCache keeps the last few built base stores keyed by epoch, so a
-	// caller ping-ponging between stack heights (speculative validation
-	// probing several checkpoints of one window) rebuilds each height's
-	// base once instead of once per visit.
-	baseCache map[uint64]*baseStore
-	baseOrder []uint64
 
 	// MaxNodes bounds the search-tree size per Check; Check returns
 	// Unknown when exceeded. The default is generous for LeJIT-scale
@@ -145,16 +128,6 @@ type compiledAssert struct {
 	cons  []lincon
 	disj  []orF
 	unsat bool
-}
-
-// shadowEntry is one assertion retained across a TruncateTo for undo
-// detection: the formula, its compiled form, and the epoch the stack had
-// right after it was originally asserted.
-type shadowEntry struct {
-	f     Formula
-	ca    compiledAssert
-	epoch uint64
-	gen   uint64
 }
 
 // compileAssert lowers f for the propagation engine. The decomposition
@@ -232,6 +205,13 @@ func (s *Solver) NewVar(name string, lo, hi int64) Var {
 	s.hi = append(s.hi, hi)
 	s.gen++
 	s.bumpEpoch()
+	// Re-record the current stack's epoch under the new generation, so a
+	// Pop back to this stack restores it.
+	if n := len(s.asserted); n > 0 {
+		s.posEpoch[n-1], s.posGen[n-1] = s.epoch, s.gen
+	} else {
+		s.epoch0, s.gen0 = s.epoch, s.gen
+	}
 	return v
 }
 
@@ -251,30 +231,8 @@ func (s *Solver) VarName(v Var) string { return s.names[v] }
 func (s *Solver) Bounds(v Var) (lo, hi int64) { return s.lo[v], s.hi[v] }
 
 // Assert adds f to the current assertion frame. The formula is compiled
-// (NNF + atom normalization) once, here, not on every Check — and when f
-// exactly replays the formula a TruncateTo discarded at this position, not
-// even that: the retained compiled form is reused and the stack's previous
-// epoch is restored, so every memo keyed on it becomes valid again.
+// (NNF + atom normalization) once, here, not on every Check.
 func (s *Solver) Assert(f Formula) {
-	pos := len(s.asserted)
-	if i := pos - s.shadowBase; len(s.shadow) > 0 && i >= 0 && i < len(s.shadow) && formulaEqual(s.shadow[i].f, f) {
-		se := &s.shadow[i]
-		s.asserted = append(s.asserted, se.f)
-		s.compiled = append(s.compiled, se.ca)
-		if se.gen == s.gen {
-			s.epoch = se.epoch
-		} else {
-			s.bumpEpoch()
-			se.epoch, se.gen = s.epoch, s.gen
-		}
-		s.posEpoch = append(s.posEpoch, s.epoch)
-		s.posGen = append(s.posGen, s.gen)
-		return
-	}
-	if i := pos - s.shadowBase; len(s.shadow) > 0 && i >= 0 && i < len(s.shadow) {
-		// Diverged from the retained tail: it can never match again.
-		s.shadow, s.shadowBase = nil, 0
-	}
 	s.asserted = append(s.asserted, f)
 	s.compiled = append(s.compiled, compileAssert(f))
 	s.bumpEpoch()
@@ -299,7 +257,6 @@ func (s *Solver) Pop() {
 	s.compiled = s.compiled[:mark]
 	s.posEpoch = s.posEpoch[:mark]
 	s.posGen = s.posGen[:mark]
-	s.shadow, s.shadowBase = nil, 0
 	s.restorePrefixEpoch(mark)
 }
 
@@ -324,52 +281,6 @@ func (s *Solver) restorePrefixEpoch(mark int) {
 	}
 }
 
-// AssertionMark returns a cursor into the assertion stack for TruncateTo.
-// Unlike Push, a mark is a plain integer with no frame bookkeeping: callers
-// that interleave speculative Asserts with an enclosing Push/Pop frame can
-// rewind to the mark any number of times without unbalancing the frames.
-func (s *Solver) AssertionMark() int { return len(s.asserted) }
-
-// TruncateTo discards every assertion added after the given AssertionMark.
-// It panics if mark is out of range or would cut into an enclosing Push
-// frame (Pop owns those assertions). Truncating to the current length is a
-// no-op. The epoch returns to the value the shortened stack had before, and
-// the discarded tail is retained: re-asserting the identical formulas walks
-// back up through their old epochs (see Assert), so a speculative
-// truncate-and-replay cycle leaves every epoch-keyed memo warm.
-func (s *Solver) TruncateTo(mark int) {
-	if mark < 0 || mark > len(s.asserted) {
-		panic(fmt.Sprintf("smt: TruncateTo(%d) outside [0,%d]", mark, len(s.asserted)))
-	}
-	if n := len(s.frames); n > 0 && mark < s.frames[n-1] {
-		panic(fmt.Sprintf("smt: TruncateTo(%d) below open frame at %d", mark, s.frames[n-1]))
-	}
-	top := len(s.asserted)
-	if mark == top {
-		return
-	}
-	// Retain [mark, top) for undo detection, then any previously retained
-	// entries above top (the live stack up to top matched them, or the
-	// shadow would already have been dropped).
-	var above []shadowEntry
-	if len(s.shadow) > 0 && s.shadowBase <= top {
-		if off := top - s.shadowBase; off < len(s.shadow) {
-			above = s.shadow[off:]
-		}
-	}
-	ns := make([]shadowEntry, 0, (top-mark)+len(above))
-	for i := mark; i < top; i++ {
-		ns = append(ns, shadowEntry{f: s.asserted[i], ca: s.compiled[i], epoch: s.posEpoch[i], gen: s.posGen[i]})
-	}
-	ns = append(ns, above...)
-	s.shadow, s.shadowBase = ns, mark
-	s.asserted = s.asserted[:mark]
-	s.compiled = s.compiled[:mark]
-	s.posEpoch = s.posEpoch[:mark]
-	s.posGen = s.posGen[:mark]
-	s.restorePrefixEpoch(mark)
-}
-
 // SetContext attaches ctx to subsequent Checks: once it is cancelled or its
 // deadline passes, an in-flight Check stops mid-search and returns Unknown
 // with the context's error in Result.Err. Pass nil to detach. This is how a
@@ -379,12 +290,11 @@ func (s *Solver) SetContext(ctx context.Context) { s.ctx = ctx }
 
 // Epoch identifies the solver's logical state: equal epochs mean identical
 // declared variables and identical assertion stacks. It changes on NewVar,
-// Assert, Pop, and TruncateTo, and is stable across Check/CheckWith — but
-// it is not monotone: an operation that returns the solver to a previous
-// state (TruncateTo, or an Assert replaying a truncated formula) restores
-// that state's epoch. Callers may key memoized query results by it (LeJIT's
-// range-feasibility oracle cache does); restoration deliberately revalidates
-// such memos.
+// Assert, and Pop, and is stable across Check/CheckWith — but it is not
+// monotone: a Pop back to a previous stack restores that stack's epoch.
+// Callers may key memoized query results by it (LeJIT's slot oracle keys
+// its witness model by it); restoration deliberately revalidates such
+// memos.
 func (s *Solver) Epoch() uint64 { return s.epoch }
 
 // NumAssertions reports the number of currently active assertions.
@@ -473,10 +383,6 @@ func (s *Solver) currentBase() *baseStore {
 	if s.base != nil && s.base.epoch == s.epoch {
 		return s.base
 	}
-	if b, ok := s.baseCache[s.epoch]; ok {
-		s.base = b
-		return b
-	}
 	s.stats.BaseBuilds++
 	b := &baseStore{epoch: s.epoch}
 	var nc, nd int
@@ -511,19 +417,6 @@ func (s *Solver) currentBase() *baseStore {
 		b.buildTaint(len(s.lo))
 	}
 	s.base = b
-	// Built stores are immutable after this point (Check clones the
-	// domains and cap-guards the slices), so keeping a few around keyed by
-	// epoch is safe; restoration of an old epoch then reuses its store.
-	const baseCacheCap = 8
-	if s.baseCache == nil {
-		s.baseCache = make(map[uint64]*baseStore, baseCacheCap)
-	}
-	if len(s.baseOrder) >= baseCacheCap {
-		delete(s.baseCache, s.baseOrder[0])
-		s.baseOrder = s.baseOrder[1:]
-	}
-	s.baseCache[b.epoch] = b
-	s.baseOrder = append(s.baseOrder, b.epoch)
 	return b
 }
 
