@@ -288,10 +288,19 @@ func (r *Router) batcherLoop(sh *shard) (stopped bool) {
 // runBatch splits one micro-batch by compiled pack and decodes the groups
 // concurrently, each on the shard's clone of that pack's engine. Engines are
 // resolved before the goroutines spawn (sh.engines belongs to the batcher
-// goroutine). A panic escaping a group is re-raised here so the supervisor's
-// restart semantics hold; the deferred inflight settle still runs.
+// goroutine). Each job leaves the shard's inflight count just before its
+// result is delivered (deliver), so a caller holding a response never sees
+// its own job still counted. A panic escaping a group is re-raised here so
+// the supervisor's restart semantics hold; the deferred settle still
+// releases the jobs that never got a result.
 func (r *Router) runBatch(sh *shard, batch []*Job) {
-	defer sh.inflight.Add(-int64(len(batch)))
+	var delivered atomic.Int64
+	defer func() { sh.inflight.Add(delivered.Load() - int64(len(batch))) }()
+	deliver := func(j *Job, res Result) {
+		delivered.Add(1)
+		sh.inflight.Add(-1)
+		j.Resp <- res
+	}
 	sh.batches.Add(1)
 	order := make([]*pack.Compiled, 0, 1)
 	groups := make(map[*pack.Compiled][]*Job, 1)
@@ -306,7 +315,7 @@ func (r *Router) runBatch(sh *shard, batch []*Job) {
 		eng, err := sh.engineFor(pk)
 		if err != nil {
 			for _, j := range groups[pk] {
-				j.Resp <- Result{Err: err, BatchSize: len(groups[pk]), Shard: sh.id}
+				deliver(j, Result{Err: err, BatchSize: len(groups[pk]), Shard: sh.id})
 			}
 			continue
 		}
@@ -327,7 +336,7 @@ func (r *Router) runBatch(sh *shard, batch []*Job) {
 					panics <- rec
 				}
 			}()
-			r.runGroup(sh, eng, group)
+			r.runGroup(sh, eng, group, deliver)
 		}(pk, eng, groups[pk])
 	}
 	wg.Wait()
@@ -355,9 +364,9 @@ func (sh *shard) engineFor(pk *pack.Compiled) (*core.Engine, error) {
 }
 
 // runGroup decodes one same-pack slice of a micro-batch on eng and delivers
-// each job's result, counting budget/panic retirements toward the shard's
-// failure score.
-func (r *Router) runGroup(sh *shard, eng *core.Engine, group []*Job) {
+// each job's result through deliver, counting budget/panic retirements
+// toward the shard's failure score.
+func (r *Router) runGroup(sh *shard, eng *core.Engine, group []*Job, deliver func(*Job, Result)) {
 	if r.cfg.ObserveBatch != nil {
 		r.cfg.ObserveBatch(sh.id, len(group))
 	}
@@ -372,7 +381,7 @@ func (r *Router) runGroup(sh *shard, eng *core.Engine, group []*Job) {
 	out, err := eng.DecodeRequests(context.Background(), reqs, r.cfg.Workers, 0, nil)
 	if err != nil {
 		for _, j := range group {
-			j.Resp <- Result{Err: err, BatchSize: len(group), Shard: sh.id}
+			deliver(j, Result{Err: err, BatchSize: len(group), Shard: sh.id})
 		}
 		return
 	}
@@ -386,7 +395,7 @@ func (r *Router) runGroup(sh *shard, eng *core.Engine, group []*Job) {
 				r.cfg.OnLaneError(sh.id, out[i].Err)
 			}
 		}
-		j.Resp <- Result{Res: out[i].Res, Err: out[i].Err, BatchSize: len(group), Shard: sh.id}
+		deliver(j, Result{Res: out[i].Res, Err: out[i].Err, BatchSize: len(group), Shard: sh.id})
 	}
 }
 
