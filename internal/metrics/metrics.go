@@ -65,7 +65,9 @@ func JSD(a, b []float64, bins int, lo, hi float64) float64 {
 		m := (pa[i] + pb[i]) / 2
 		d += 0.5*klTerm(pa[i], m) + 0.5*klTerm(pb[i], m)
 	}
-	return d
+	// In bits the divergence lies in [0, 1]; disjoint supports sum to 1 up
+	// to rounding of the normalized histograms, which can land a ulp above.
+	return min(max(d, 0), 1)
 }
 
 func klTerm(p, m float64) float64 {
