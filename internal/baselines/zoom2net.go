@@ -259,11 +259,7 @@ func (z *Zoom2Net) Impute(known rules.Record) (rules.Record, error) {
 		// would.
 		return rec, nil
 	}
-	out := make([]int64, len(fineVars))
-	for i, v := range fineVars {
-		out[i] = repaired[v]
-	}
-	rec[z.fine] = out
+	rec[z.fine] = repaired
 	return rec, nil
 }
 

@@ -172,7 +172,7 @@ func (e *Engine) PostHoc(known rules.Record, rng *rand.Rand) (Result, error) {
 		return res, ErrInfeasible{Detail: fmt.Sprintf("repair %v", st)}
 	}
 	for i, slot := range e.cfg.Slots[fromSlot:] {
-		res.Rec[slot.Field][slot.Index] = repaired[free[i]]
+		res.Rec[slot.Field][slot.Index] = repaired[i]
 	}
 	res.Stats.Repaired = true
 	return res, nil

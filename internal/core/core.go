@@ -280,13 +280,14 @@ type Engine struct {
 	// lastModel is the most recent model the solver produced, valid while
 	// the epoch matches lastModelEpoch; it seeds each slot oracle's witness
 	// so a slot's first probe (HasPath) usually costs no solver check.
-	lastModel      map[smt.Var]int64
+	// It is dense (indexed by smt.Var), like every solver model.
+	lastModel      []int64
 	lastModelEpoch uint64
 	// varConjuncts indexes the rule formula's top-level conjuncts by the
-	// variables they mention, built lazily on the first model-patching
-	// attempt (oracle.go). Shared across records: the rule formula never
-	// changes after construction.
-	varConjuncts map[smt.Var][]smt.Formula
+	// variables they mention (varConjuncts[v] for smt.Var v), built lazily
+	// on the first model-patching attempt (oracle.go). Shared across
+	// records: the rule formula never changes after construction.
+	varConjuncts [][]smt.Formula
 	// fingerprint is the rule-epoch fingerprint stamped on prefix-cache
 	// snapshots: a hash of everything that decides whether a cached
 	// (KV state, witness model) pair is still valid — the rule set, schema,

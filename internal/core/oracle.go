@@ -63,9 +63,7 @@ func (e *Engine) newSlotOracle(v smt.Var, st *Stats) *slotOracle {
 	o.kLo, o.kHi = lo, hi
 	o.convex = !e.solver.VarDisjunctionTainted(v)
 	if e.lastModel != nil && e.lastModelEpoch == e.solver.Epoch() {
-		if mv, found := e.lastModel[v]; found {
-			o.addWitness(mv)
-		}
+		o.addWitness(e.lastModel[v])
 	}
 	return o
 }
@@ -181,10 +179,7 @@ func (o *slotOracle) patchFeasible(lo, hi int64) bool {
 	if e.lastModel == nil || e.lastModelEpoch != e.solver.Epoch() {
 		return false
 	}
-	m, ok := e.lastModel[o.v]
-	if !ok {
-		return false
-	}
+	m := e.lastModel[o.v]
 	if lo < o.kLo {
 		lo = o.kLo
 	}
@@ -276,7 +271,7 @@ func (e *Engine) patchValue(v smt.Var, x int64) bool {
 // declared domain. On success the model differs from a known-satisfying one
 // in exactly {v, u}, and every conjunct mentioning either has been
 // re-evaluated true: the patched model is again a full model.
-func (e *Engine) repairConjunct(m map[smt.Var]int64, broken smt.Formula, v smt.Var) bool {
+func (e *Engine) repairConjunct(m []int64, broken smt.Formula, v smt.Var) bool {
 	a, isAtom := smt.AtomOf(broken)
 	if !isAtom {
 		return false
@@ -480,7 +475,7 @@ func (o *slotOracle) FeasibleAny(ranges [][2]int64) bool {
 // feasibility certificates for every variable at the epoch they were found,
 // which seeds the next slot's witness for free; guided() re-validates the
 // model across value assertions when the pinned value matches.
-func (e *Engine) noteModel(m map[smt.Var]int64) {
+func (e *Engine) noteModel(m []int64) {
 	if m == nil {
 		return
 	}
@@ -495,7 +490,7 @@ func (e *Engine) noteModel(m map[smt.Var]int64) {
 // mention an in-flight slot variable.
 func (e *Engine) conjunctsOn(v smt.Var) []smt.Formula {
 	if e.varConjuncts == nil {
-		e.varConjuncts = map[smt.Var][]smt.Formula{}
+		e.varConjuncts = make([][]smt.Formula, e.solver.NumVars())
 		if e.ruleFormula != nil {
 			for _, c := range smt.Conjuncts(e.ruleFormula) {
 				for u := range smt.FormulaVars(c) {

@@ -18,7 +18,7 @@ import (
 
 // Repair finds an assignment to vars that satisfies every assertion active
 // on s and minimizes the L1 distance Σ|vars[i] − targets[i]|. It returns the
-// assignment restricted to vars.
+// assignment restricted to vars: the i-th value is that of vars[i].
 //
 // The search grows the distance budget exponentially from zero (probes with
 // a small budget propagate hard: every variable is pinned to a narrow band
@@ -32,13 +32,13 @@ import (
 // Repair adds auxiliary deviation variables to s (they remain declared
 // afterwards — solvers are cheap, use a fresh one per repair if that
 // matters) but leaves the assertion stack unchanged.
-func Repair(s *smt.Solver, vars []smt.Var, targets []int64) (map[smt.Var]int64, smt.Status) {
+func Repair(s *smt.Solver, vars []smt.Var, targets []int64) ([]int64, smt.Status) {
 	if len(vars) != len(targets) {
 		panic(fmt.Sprintf("ilp: %d vars, %d targets", len(vars), len(targets)))
 	}
 	if len(vars) == 0 {
 		r := s.Check()
-		return map[smt.Var]int64{}, r.Status
+		return []int64{}, r.Status
 	}
 
 	// Deviation encoding: dᵢ ≥ xᵢ − tᵢ and dᵢ ≥ tᵢ − xᵢ, objective Σ dᵢ.
@@ -68,14 +68,14 @@ func Repair(s *smt.Solver, vars []smt.Var, targets []int64) (map[smt.Var]int64, 
 		extra := append(append([]smt.Formula(nil), side...), smt.Le(obj, smt.C(bound)))
 		return s.CheckWith(extra...)
 	}
-	extract := func(model map[smt.Var]int64) map[smt.Var]int64 {
-		out := make(map[smt.Var]int64, len(vars))
-		for _, v := range vars {
-			out[v] = model[v]
+	extract := func(model []int64) []int64 {
+		out := make([]int64, len(vars))
+		for i, v := range vars {
+			out[i] = model[v]
 		}
 		return out
 	}
-	objOf := func(model map[smt.Var]int64) int64 {
+	objOf := func(model []int64) int64 {
 		var d int64
 		for i, v := range vars {
 			diff := model[v] - targets[i]
@@ -88,7 +88,7 @@ func Repair(s *smt.Solver, vars []smt.Var, targets []int64) (map[smt.Var]int64, 
 	}
 
 	// Exponential ascent: find the first satisfiable distance budget.
-	var best map[smt.Var]int64
+	var best []int64
 	lo, bound := int64(0), int64(0)
 	var hi int64
 	for {
@@ -145,11 +145,11 @@ func Repair(s *smt.Solver, vars []smt.Var, targets []int64) (map[smt.Var]int64, 
 	return extract(best), smt.Sat
 }
 
-// Distance computes the L1 distance between an assignment and targets.
-func Distance(assign map[smt.Var]int64, vars []smt.Var, targets []int64) int64 {
+// Distance computes the L1 distance between values and targets.
+func Distance(values, targets []int64) int64 {
 	var d int64
-	for i, v := range vars {
-		diff := assign[v] - targets[i]
+	for i, x := range values {
+		diff := x - targets[i]
 		if diff < 0 {
 			diff = -diff
 		}

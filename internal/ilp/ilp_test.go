@@ -12,7 +12,7 @@ func TestRepairAlreadyFeasible(t *testing.T) {
 	x := s.NewVar("x", 0, 10)
 	s.Assert(smt.Ge(smt.V(x), smt.C(2)))
 	got, st := Repair(s, []smt.Var{x}, []int64{5})
-	if st != smt.Sat || got[x] != 5 {
+	if st != smt.Sat || got[0] != 5 {
 		t.Errorf("Repair = %v (%v), want x=5", got, st)
 	}
 }
@@ -36,15 +36,15 @@ func TestRepairProjectsToNearest(t *testing.T) {
 		t.Fatalf("status %v", st)
 	}
 	var total int64
-	for _, v := range vars {
-		total += got[v]
+	for _, x := range got {
+		total += x
 	}
 	if total != 100 {
 		t.Errorf("repaired sum = %d", total)
 	}
 	// Optimal distance: clamping I3 to 60 costs 10, then the remaining
 	// excess (sum 128 vs 100) must shed 28 more: total ≥ 38.
-	if d := Distance(got, vars, targets); d != 38 {
+	if d := Distance(got, targets); d != 38 {
 		t.Errorf("repair distance = %d, want 38", d)
 	}
 }
@@ -104,7 +104,7 @@ func TestRepairMatchesBruteForce(t *testing.T) {
 		if st != smt.Sat {
 			t.Fatalf("trial %d: status %v", trial, st)
 		}
-		if d := Distance(got, []smt.Var{a, b}, targets); d != best {
+		if d := Distance(got, targets); d != best {
 			t.Errorf("trial %d: distance %d, brute %d", trial, d, best)
 		}
 	}

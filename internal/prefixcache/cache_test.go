@@ -39,7 +39,7 @@ func sessFor(t testing.TB, key []int) *nn.Session {
 func snapFor(t testing.TB, key []int, epoch uint64, slots int) *Snapshot {
 	return &Snapshot{
 		Sess:      sessFor(t, key),
-		Model:     map[smt.Var]int64{smt.Var(1): 42},
+		Model:     []int64{smt.Var(1): 42},
 		RuleEpoch: epoch,
 		Slots:     slots,
 	}

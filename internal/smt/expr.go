@@ -126,16 +126,16 @@ func Sum(es ...LinExpr) LinExpr {
 	return out
 }
 
-// Eval evaluates the expression under a complete assignment. It returns an
-// error if any referenced variable is missing from the assignment.
-func (e LinExpr) Eval(assign map[Var]int64) (int64, error) {
+// Eval evaluates the expression under a complete assignment: a dense model
+// indexed by Var, as Check returns. It returns an error if any referenced
+// variable lies beyond the end of the assignment.
+func (e LinExpr) Eval(assign []int64) (int64, error) {
 	v := e.k
 	for _, t := range e.terms {
-		x, ok := assign[t.V]
-		if !ok {
+		if int(t.V) >= len(assign) {
 			return 0, fmt.Errorf("smt: variable %d unassigned in Eval", t.V)
 		}
-		v += t.C * x
+		v += t.C * assign[t.V]
 	}
 	return v, nil
 }
@@ -252,8 +252,15 @@ func abs64(a int64) int64 {
 	return a
 }
 
-// floorDiv returns ⌊a/b⌋ for b > 0.
+// floorDiv returns ⌊a/b⌋ for b ≠ 0. Unit divisors, the common case in
+// propagation over unit-coefficient rules, skip the divide.
 func floorDiv(a, b int64) int64 {
+	switch b {
+	case 1:
+		return a
+	case -1:
+		return -a
+	}
 	q := a / b
 	if a%b != 0 && (a < 0) != (b < 0) {
 		q--
@@ -261,8 +268,14 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-// ceilDiv returns ⌈a/b⌉ for b > 0.
+// ceilDiv returns ⌈a/b⌉ for b ≠ 0, skipping the divide for unit divisors.
 func ceilDiv(a, b int64) int64 {
+	switch b {
+	case 1:
+		return a
+	case -1:
+		return -a
+	}
 	q := a / b
 	if a%b != 0 && (a < 0) == (b < 0) {
 		q++

@@ -44,14 +44,14 @@ func TestLinExprSubScale(t *testing.T) {
 func TestLinExprEval(t *testing.T) {
 	x, y := Var(0), Var(1)
 	e := Sum(CV(2, x), CV(-1, y), C(7))
-	v, err := e.Eval(map[Var]int64{x: 3, y: 4})
+	v, err := e.Eval([]int64{3, 4}) // x, y are Var(0), Var(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v != 2*3-4+7 {
 		t.Errorf("Eval = %d, want 9", v)
 	}
-	if _, err := e.Eval(map[Var]int64{x: 3}); err == nil {
+	if _, err := e.Eval([]int64{3}); err == nil {
 		t.Error("Eval with missing var should error")
 	}
 }

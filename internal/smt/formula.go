@@ -238,8 +238,9 @@ func nnf(f Formula) Formula {
 	panic("smt: unknown formula node")
 }
 
-// EvalFormula evaluates f under a complete assignment.
-func EvalFormula(f Formula, assign map[Var]int64) (bool, error) {
+// EvalFormula evaluates f under a complete assignment: a dense model
+// indexed by Var, as Check returns.
+func EvalFormula(f Formula, assign []int64) (bool, error) {
 	switch g := f.(type) {
 	case boolF:
 		return g.v, nil

@@ -7,10 +7,13 @@ import (
 
 // FuzzSolverVsBrute drives random small-domain formulas through
 // Push/Assert/Pop/NewVar/Check/CheckWith and compares every status with
-// exhaustive enumeration (bruteSat). After each Pop the solver must answer
-// exactly as it did before the matching Push, and its epoch must return to
-// the one recorded there unless a variable was declared in between — the
-// assertion-stack and epoch bookkeeping the slot oracle's memos rely on.
+// exhaustive enumeration (bruteSat). Every Sat model must be dense (one
+// entry per declared variable), lie inside the declared bounds, and satisfy
+// each active assertion and the probe under EvalFormula. After each Pop the
+// solver must answer exactly as it did before the matching Push, and its
+// epoch must return to the one recorded there unless a variable was declared
+// in between — the assertion-stack and epoch bookkeeping the slot oracle's
+// memos rely on.
 func FuzzSolverVsBrute(f *testing.F) {
 	f.Add(int64(1), []byte{0, 3, 1, 0, 3, 2, 3})
 	f.Add(int64(7), []byte{1, 0, 0, 4, 1, 0, 3, 2, 3, 2, 3})
@@ -55,8 +58,25 @@ func FuzzSolverVsBrute(f *testing.F) {
 			case (r.Status == Sat) != sat:
 				t.Fatalf("op %d: solver %v, brute sat=%v for %s", op, r.Status, sat, FormulaString(want))
 			case r.Status == Sat:
-				if ok, err := EvalFormula(want, r.Model); err != nil || !ok {
-					t.Fatalf("op %d: model %v violates %s", op, r.Model, FormulaString(want))
+				if len(r.Model) != s.NumVars() {
+					t.Fatalf("op %d: model has %d entries, %d variables declared", op, len(r.Model), s.NumVars())
+				}
+				for v, x := range r.Model {
+					if lo, hi := s.Bounds(Var(v)); x < lo || x > hi {
+						t.Fatalf("op %d: model value %d for x%d outside [%d,%d]", op, x, v, lo, hi)
+					}
+				}
+				fs := []Formula{}
+				for _, fr := range stack {
+					fs = append(fs, fr.fs...)
+				}
+				if extra != nil {
+					fs = append(fs, extra)
+				}
+				for _, f := range fs {
+					if ok, err := EvalFormula(f, r.Model); err != nil || !ok {
+						t.Fatalf("op %d: model %v violates %s", op, r.Model, FormulaString(f))
+					}
 				}
 			}
 			return r.Status

@@ -141,7 +141,7 @@ func TestMinimizeMatchesBruteForce(t *testing.T) {
 func bruteMin(f Formula, obj LinExpr, vars []Var, dom int64) (int64, bool) {
 	best := int64(0)
 	found := false
-	assign := make(map[Var]int64)
+	assign := denseAssign(vars)
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(vars) {

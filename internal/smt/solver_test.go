@@ -325,7 +325,7 @@ func randFormula(rng *rand.Rand, vars []Var, depth int) Formula {
 
 // bruteSat exhaustively enumerates assignments over [0,dom]^n.
 func bruteSat(f Formula, vars []Var, dom int64) bool {
-	assign := make(map[Var]int64, len(vars))
+	assign := denseAssign(vars)
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == len(vars) {
@@ -341,6 +341,18 @@ func bruteSat(f Formula, vars []Var, dom int64) bool {
 		return false
 	}
 	return rec(0)
+}
+
+// denseAssign returns a zeroed dense assignment covering every variable in
+// vars.
+func denseAssign(vars []Var) []int64 {
+	n := 0
+	for _, v := range vars {
+		if int(v) >= n {
+			n = int(v) + 1
+		}
+	}
+	return make([]int64, n)
 }
 
 func TestStatsAccumulate(t *testing.T) {
