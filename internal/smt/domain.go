@@ -11,21 +11,6 @@ type domains struct {
 	hi []int64
 }
 
-func newDomains(lo, hi []int64) *domains {
-	d := &domains{
-		lo: append([]int64(nil), lo...),
-		hi: append([]int64(nil), hi...),
-	}
-	return d
-}
-
-func (d *domains) clone() *domains {
-	return &domains{
-		lo: append([]int64(nil), d.lo...),
-		hi: append([]int64(nil), d.hi...),
-	}
-}
-
 func (d *domains) fixed(v Var) bool { return d.lo[v] == d.hi[v] }
 
 // width returns the number of values in the domain of v.
