@@ -17,9 +17,12 @@ tier1:
 # Full verify path: tier-1 plus static checks, the race detector over the
 # concurrent packages (the solver, the batched decode pool, and the serving
 # daemon), and the benchmark module under perfbench/, which is its own Go
-# module and so is not built by tier-1's ./... patterns.
+# module and so is not built by tier-1's ./... patterns. The arm64 vet keeps
+# internal/nn's pure-Go kernel path (used wherever there is no assembly
+# kernel) compiling; on amd64, vet's asmdecl pass checks the assembly frame.
 verify: tier1
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/nn/
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	GOMAXPROCS=4 $(GO) test -race ./internal/core/... ./internal/smt/... ./internal/nn/... ./internal/server/... ./internal/router/... ./internal/prefixcache/... ./internal/pack/...

@@ -11,8 +11,8 @@ import (
 // This file pins the lock-step GEMM path to the single-row Session: for any
 // batch composition — ragged starts, ragged finishes, lanes skipping steps —
 // every lane's logits must be bit-identical to a solo Session fed the same
-// tokens. The matLinear/matLinear3 kernels preserve vecLinear's per-row
-// accumulation order exactly, so identical bits are the contract.
+// tokens. The matLinear/matLinear3 kernels accumulate each row in the same
+// order whatever the row count, so identical bits are the contract.
 
 // laneSchedule fixes, per lane, the token sequence it will consume.
 func laneSchedule(rng *rand.Rand, lanes, minLen, maxLen, vocab int) [][]int {
@@ -193,8 +193,10 @@ func TestAppendBatchValidation(t *testing.T) {
 	}
 }
 
-// TestMatLinearMatchesVecLinear fuzzes the GEMM kernels row-by-row against
-// the single-row kernels across shapes exercising every tail residue.
+// TestMatLinearMatchesVecLinear fuzzes the GEMM kernels row by row: every
+// row of a multi-row call must match a rows = 1 call on that row alone and
+// the seed's single-row vecLinear, across shapes exercising every tail
+// residue.
 func TestMatLinearMatchesVecLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	fill := func(n int) []float32 {
@@ -220,10 +222,14 @@ func TestMatLinearMatchesVecLinear(t *testing.T) {
 
 		wantY := make([]float32, out)
 		wantQ, wantK, wantV := make([]float32, out), make([]float32, out), make([]float32, out)
+		seedY, seedK, seedV := make([]float32, out), make([]float32, out), make([]float32, out)
 		for r := 0; r < rows; r++ {
 			xr := x[r*in : (r+1)*in]
-			vecLinear(wantY, xr, wq, b, in, out)
-			vecLinear3(wantQ, wantK, wantV, xr, wq, wk, wv, b, b, b, in, out)
+			matLinear(wantY, xr, wq, b, in, out, 1)
+			matLinear3(wantQ, wantK, wantV, xr, wq, wk, wv, b, b, b, in, out, 1)
+			refVecLinear(seedY, xr, wq, b, in, out)
+			refVecLinear(seedK, xr, wk, b, in, out)
+			refVecLinear(seedV, xr, wv, b, in, out)
 			for j := 0; j < out; j++ {
 				if math.Float32bits(y[r*out+j]) != math.Float32bits(wantY[j]) {
 					t.Fatalf("matLinear rows=%d in=%d out=%d r=%d j=%d: got %v, want %v",
@@ -232,6 +238,11 @@ func TestMatLinearMatchesVecLinear(t *testing.T) {
 				if q[r*out+j] != wantQ[j] || k[r*out+j] != wantK[j] || v[r*out+j] != wantV[j] {
 					t.Fatalf("matLinear3 rows=%d in=%d out=%d r=%d j=%d: q %v/%v k %v/%v v %v/%v",
 						rows, in, out, r, j, q[r*out+j], wantQ[j], k[r*out+j], wantK[j], v[r*out+j], wantV[j])
+				}
+				if math.Float32bits(wantY[j]) != math.Float32bits(seedY[j]) ||
+					wantK[j] != seedK[j] || wantV[j] != seedV[j] {
+					t.Fatalf("rows=1 in=%d out=%d r=%d j=%d: y %v/%v k %v/%v v %v/%v vs seed",
+						in, out, r, j, wantY[j], seedY[j], wantK[j], seedK[j], wantV[j], seedV[j])
 				}
 			}
 		}

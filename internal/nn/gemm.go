@@ -8,13 +8,15 @@ import "repro/internal/tensor"
 // accumulator fed in ascending input-row order, so a row's result does not
 // depend on how many other rows share the call.
 
-// matLinear is the batched form of vecLinear: Y = X·W + b for X [rows, in]
-// and Y [rows, out], both compacted row-major. The loop order is weight
-// block outer, lane inner: each 4-row block of W is loaded once and folded
-// into every lane before moving on, so W streams from memory once per call
-// instead of once per lane. Within a lane the accumulation order is exactly
-// vecLinear's (same 4-wide blocks via accumBlock4, same tail), so each
-// output row is bit-identical to a vecLinear call on that row alone.
+// matLinear computes Y = X·W + b for X [rows, in] and Y [rows, out], both
+// compacted row-major, W [in, out]. The loop order is weight block outer,
+// lane inner: each 4-row block of W is loaded once and folded into every
+// lane before moving on, so W streams from memory once per call instead of
+// once per lane. Each y[r][j] starts from b[j] and adds x[r][p]·W[p][j] in
+// ascending p, four rows per accumBlock4 call and then the tail one row at a
+// time, so every output row is bit-identical to a rows = 1 call on that row
+// alone. There is no per-input x == 0 skip: layer-norm output is
+// essentially never zero, so the branch would only cost.
 func matLinear(y, x, w, b []float32, in, out, rows int) {
 	for r := 0; r < rows; r++ {
 		copy(y[r*out:(r+1)*out], b[:out])
@@ -39,11 +41,11 @@ func matLinear(y, x, w, b []float32, in, out, rows int) {
 	}
 }
 
-// matLinear3 is the batched form of vecLinear3: the three attention
-// projections for all lanes in one pass, with each 4-row block of Wq/Wk/Wv
-// read once per token step. Per lane the q/k/v accumulation order matches
-// vecLinear3 exactly, so the outputs are bit-identical to the single-row
-// kernel.
+// matLinear3 fuses the three attention projections sharing one input row,
+// q = x·Wq + bq, k = x·Wk + bk, v = x·Wv + bv, for all lanes in one pass,
+// with each 4-row block of Wq/Wk/Wv read once per token step. Per lane each
+// projection accumulates exactly as matLinear does, so the three outputs are
+// bit-identical to three separate matLinear calls.
 func matLinear3(q, k, v, x, wq, wk, wv, bq, bk, bv []float32, in, out, rows int) {
 	for r := 0; r < rows; r++ {
 		copy(q[r*out:(r+1)*out], bq[:out])
@@ -76,6 +78,32 @@ func matLinear3(q, k, v, x, wq, wk, wv, bq, bk, bv []float32, in, out, rows int)
 				vr[j] += xv * rv[j]
 			}
 		}
+	}
+}
+
+// accumBlock4Generic folds four input rows (w, a 4-row block at the given
+// row stride) into y: y[j] = (((y[j] + x0·r0[j]) + x1·r1[j]) + x2·r2[j]) +
+// x3·r3[j], one accumulator per element and the adds in ascending input
+// order, the FP operation sequence of four scalar passes. Each row spans
+// len(y) floats from its start. It is accumBlock4 on architectures without
+// an assembly kernel and the oracle the amd64 kernel is tested against.
+// accumBlock4 stays a separate call from the projections' loops because with
+// three inner loops inlined into one body (matLinear3) the live slice
+// headers spilled and the fused projection ran ~50% slower than three
+// separate ones.
+func accumBlock4Generic(y, w []float32, stride int, x0, x1, x2, x3 float32) {
+	n := len(y)
+	r0 := w[:n]
+	r1 := w[stride : stride+n]
+	r2 := w[2*stride : 2*stride+n]
+	r3 := w[3*stride : 3*stride+n]
+	for j := range y {
+		a := y[j]
+		a += x0 * r0[j]
+		a += x1 * r1[j]
+		a += x2 * r2[j]
+		a += x3 * r3[j]
+		y[j] = a
 	}
 }
 

@@ -3,15 +3,17 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/tensor"
 )
 
 // This file pins the rewritten per-token kernels (fused q/k/v projection,
-// 4-wide unrolled vecLinear/Dot, head-major KV cache, partial Clone) to the
-// seed implementation: refAppend below is the seed's Session.Append copied
-// verbatim (over [Ctx, D] row-major caches and the zero-skipping vecLinear),
+// 4-wide blocked matLinear, unrolled Dot, head-major KV cache, partial
+// Clone) to the seed implementation: refAppend below is the seed's
+// Session.Append copied verbatim (over [Ctx, D] row-major caches and the
+// zero-skipping vecLinear),
 // and the golden tests require bit-identical logits, not just close ones.
 // The unrolls keep one accumulator per output and add terms in ascending
 // input order, so identical floats are the contract, not an accident.
@@ -242,9 +244,10 @@ func TestGoldenCloneMatchesSeed(t *testing.T) {
 	compareLogitsBits(t, s.Logits(), r.logits, "original after branching")
 }
 
-// TestVecLinearMatchesSeed fuzzes the unrolled kernels directly against the
-// seed loops, including zero inputs (the removed skip branch) and lengths
-// exercising every tail residue mod 4.
+// TestVecLinearMatchesSeed fuzzes the single-row (rows = 1) form of the
+// decode kernels directly against the seed's vecLinear, including zero
+// inputs (the removed skip branch) and lengths exercising every tail residue
+// mod 4.
 func TestVecLinearMatchesSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	fill := func(n int) []float32 {
@@ -267,21 +270,21 @@ func TestVecLinearMatchesSeed(t *testing.T) {
 		want := make([]float32, out)
 		refVecLinear(want, x, wq, b, in, out)
 		got := make([]float32, out)
-		vecLinear(got, x, wq, b, in, out)
+		matLinear(got, x, wq, b, in, out, 1)
 		for j := range want {
 			if got[j] != want[j] {
-				t.Fatalf("vecLinear in=%d out=%d j=%d: got %v, seed %v", in, out, j, got[j], want[j])
+				t.Fatalf("matLinear in=%d out=%d j=%d: got %v, seed %v", in, out, j, got[j], want[j])
 			}
 		}
 
 		q, k, v := make([]float32, out), make([]float32, out), make([]float32, out)
-		vecLinear3(q, k, v, x, wq, wk, wv, b, b, b, in, out)
+		matLinear3(q, k, v, x, wq, wk, wv, b, b, b, in, out, 1)
 		wantK, wantV := make([]float32, out), make([]float32, out)
 		refVecLinear(wantK, x, wk, b, in, out)
 		refVecLinear(wantV, x, wv, b, in, out)
 		for j := range want {
 			if q[j] != want[j] || k[j] != wantK[j] || v[j] != wantV[j] {
-				t.Fatalf("vecLinear3 in=%d out=%d j=%d: q %v/%v k %v/%v v %v/%v",
+				t.Fatalf("matLinear3 in=%d out=%d j=%d: q %v/%v k %v/%v v %v/%v",
 					in, out, j, q[j], want[j], k[j], wantK[j], v[j], wantV[j])
 			}
 		}
@@ -309,55 +312,81 @@ func TestVecLinearMatchesSeed(t *testing.T) {
 // kernels dominate, small enough for -bench to converge quickly.
 func benchCfg() Config { return Config{Vocab: 16, Ctx: 64, Dim: 64, Heads: 4, Layers: 4} }
 
+// BenchmarkVecLinear times matLinear on the MLP up-projection shape at one
+// row (solo decode) and 32 rows (a lock-step batch), against the seed's
+// vecLinear once per row.
 func BenchmarkVecLinear(b *testing.B) {
 	const in, out = 64, 256
 	rng := rand.New(rand.NewSource(1))
-	x, w, bias := make([]float32, in), make([]float32, in*out), make([]float32, out)
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
-	}
+	w, bias := make([]float32, in*out), make([]float32, out)
 	for i := range w {
 		w[i] = float32(rng.NormFloat64())
 	}
-	y := make([]float32, out)
-	b.Run("unrolled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			vecLinear(y, x, w, bias, in, out)
+	for _, rows := range []int{1, 32} {
+		x, y := make([]float32, rows*in), make([]float32, rows*out)
+		for i := range x {
+			x[i] = float32(rng.NormFloat64())
 		}
-	})
-	b.Run("seed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			refVecLinear(y, x, w, bias, in, out)
-		}
-	})
+		b.Run("rows="+strconv.Itoa(rows), func(b *testing.B) {
+			b.Run("matLinear", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					matLinear(y, x, w, bias, in, out, rows)
+				}
+			})
+			b.Run("seed", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for r := 0; r < rows; r++ {
+						refVecLinear(y[r*out:(r+1)*out], x[r*in:(r+1)*in], w, bias, in, out)
+					}
+				}
+			})
+		})
+	}
 }
 
+// BenchmarkVecLinear3 times the fused q/k/v projection at one and 32 rows
+// against three separate matLinear calls and against the seed's vecLinear.
 func BenchmarkVecLinear3(b *testing.B) {
 	const d = 64
 	rng := rand.New(rand.NewSource(2))
-	x, bias := make([]float32, d), make([]float32, d)
+	bias := make([]float32, d)
 	wq, wk, wv := make([]float32, d*d), make([]float32, d*d), make([]float32, d*d)
 	for i := range wq {
 		wq[i] = float32(rng.NormFloat64())
 		wk[i] = float32(rng.NormFloat64())
 		wv[i] = float32(rng.NormFloat64())
 	}
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
+	for _, rows := range []int{1, 32} {
+		x := make([]float32, rows*d)
+		for i := range x {
+			x[i] = float32(rng.NormFloat64())
+		}
+		q, k, v := make([]float32, rows*d), make([]float32, rows*d), make([]float32, rows*d)
+		b.Run("rows="+strconv.Itoa(rows), func(b *testing.B) {
+			b.Run("fused", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					matLinear3(q, k, v, x, wq, wk, wv, bias, bias, bias, d, d, rows)
+				}
+			})
+			b.Run("separate", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					matLinear(q, x, wq, bias, d, d, rows)
+					matLinear(k, x, wk, bias, d, d, rows)
+					matLinear(v, x, wv, bias, d, d, rows)
+				}
+			})
+			b.Run("seed", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for r := 0; r < rows; r++ {
+						xr := x[r*d : (r+1)*d]
+						refVecLinear(q[r*d:(r+1)*d], xr, wq, bias, d, d)
+						refVecLinear(k[r*d:(r+1)*d], xr, wk, bias, d, d)
+						refVecLinear(v[r*d:(r+1)*d], xr, wv, bias, d, d)
+					}
+				}
+			})
+		})
 	}
-	q, k, v := make([]float32, d), make([]float32, d), make([]float32, d)
-	b.Run("fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			vecLinear3(q, k, v, x, wq, wk, wv, bias, bias, bias, d, d)
-		}
-	})
-	b.Run("separate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			vecLinear(q, x, wq, bias, d, d)
-			vecLinear(k, x, wk, bias, d, d)
-			vecLinear(v, x, wv, bias, d, d)
-		}
-	})
 }
 
 func BenchmarkDot(b *testing.B) {
